@@ -209,6 +209,7 @@ def main(argv):
         f"the cell must complete exactly once: {c}"
     stop(zombie)
     stop(rescuer)
+    stop(daemon)
     print(f"   lease expired after {1.5}s of silence, re-granted under a "
           "bumped token; the zombie's late result was fenced; "
           "exactly one commit")

@@ -413,6 +413,7 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
+        runner.close()  # every worker child is reaped before we return
         for signum, handler in previous_handlers.items():
             signal.signal(signum, handler)
         journal.close()  # the flock must not outlive the run

@@ -19,11 +19,10 @@ survive JSON round-trips bit-for-bit), a decomposition against a cached
 baseline is identical to one against a fresh run.
 
 Reuse crosses process boundaries through serialization, not shared
-memory: the sweep runner attaches its known records to each worker
-request and absorbs the records new workers produce
-(:mod:`repro.runx.runner` / :mod:`repro.runx.worker`), and the serve
-daemon does the same across its long-lived worker pool
-(:mod:`repro.serve.pool` / :mod:`repro.serve.workproc`), surfacing
+memory: the sweep runner attaches its known records to each job it
+sends a :mod:`repro.runx.workproc` worker and absorbs the records the
+worker produces (:mod:`repro.runx.runner`), and the serve daemon does
+the same across its worker pool (:mod:`repro.serve.pool`), surfacing
 ``engine.baseline_cache.{hits,misses}`` in ``repro-smm status``.
 """
 

@@ -5,10 +5,15 @@ isolated unit of work and returns ``{cell_id: CellResult}`` — *always*,
 no matter what individual cells do.  The failure model:
 
 * **Crash isolation** — with ``isolation="process"`` (the default) each
-  attempt runs in a fresh ``repro.runx.worker`` subprocess; a segfault,
-  OOM kill, or corrupted reply becomes ``CellResult(status=FAILED)``.
-* **Watchdog timeouts** — ``timeout_s`` bounds each attempt's wall
-  clock; the subprocess machinery kills overrunning workers.
+  runner thread drives one persistent :mod:`repro.runx.workproc` child
+  (spawned on the thread's first cell, so a fully resumed sweep spawns
+  nothing); a segfault, OOM kill, or corrupted reply fails only the
+  attempt in flight — it becomes ``CellResult(status=FAILED)`` or a
+  retry, and the child is killed and respawned before the next attempt.
+  An in-band cell exception leaves the child serving.
+* **Watchdog timeouts** — ``timeout_s`` bounds each attempt's execution
+  in the child (not its spawn or imports); an overrunning child is
+  killed.
 * **Bounded retries** — a failed attempt is retried up to ``retries``
   times after a deterministic exponential backoff
   (``backoff_s * 2**(attempt-1)``), each attempt re-seeded with
@@ -19,14 +24,23 @@ no matter what individual cells do.  The failure model:
   :class:`~repro.runx.journal.Journal` (fsync per line) and mirrored to
   the v2 manifest; ``completed=`` feeds previously journaled results
   back in, and the runner skips them (counted as resumed).
-* **Parallelism** — ``jobs`` worker subprocesses run concurrently; cell
-  seeds are position-derived, so results are independent of scheduling
-  order and ``--jobs N`` output is bit-identical to ``--jobs 1``.
+* **Parallelism** — ``jobs`` threads, each with its own child, run
+  concurrently; cell seeds are position-derived, so results are
+  independent of scheduling order and ``--jobs N`` output is
+  bit-identical to ``--jobs 1``.
+* **Fork groups** — interval-sweep cells that share a warm prefix
+  (:mod:`repro.runx.forkshare`) go to one child in ascending-interval
+  order; its prefix store persists across jobs, so the first cell warms
+  what every later cell forks.
 * **Graceful drain** — :meth:`SweepRunner.request_drain` (the CLI wires
   it to SIGINT/SIGTERM) stops *launching* cells while in-flight cells
   finish and are journaled normally; ``run()`` then returns only the
   completed results, so the journal is never torn and ``--resume``
-  picks up exactly where the drain stopped.
+  picks up exactly where the drain stopped.  Children ignore SIGINT, so
+  a terminal Ctrl-C reaching the whole process group drains too.
+* **Cleanup** — :meth:`SweepRunner.close` (or ``with SweepRunner(...)``)
+  shuts every child down and reaps it; a closed runner respawns children
+  on its next ``run()``.
 
 ``isolation="inline"`` executes cells in-process (no subprocess, no
 timeout enforcement, no chaos) — the fast path for unit tests and for
@@ -37,14 +51,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
-import subprocess
-import sys
 import threading
 import time
 import traceback
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.runx.spec import (
     FAILED,
@@ -54,37 +66,16 @@ from repro.runx.spec import (
     CellSpec,
     attempt_seed,
 )
-from repro.runx.worker import RESULT_SENTINEL
 
-__all__ = ["SweepRunner", "worker_env"]
+__all__ = ["SweepRunner"]
 
 log = logging.getLogger(__name__)
 
-_STDERR_TAIL = 400  # chars of worker stderr preserved in error messages
 
-
-def _worker_env() -> Dict[str, str]:
-    """Child environment with the repro package importable.
-
-    Measured at ~64 µs per call (``dict(os.environ)`` + the repro import
-    dance); the runner computes it once and reuses it for every attempt —
-    attempts never legitimately see different environments within one
-    runner's lifetime.
-    """
-    import repro
-
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    existing = env.get("PYTHONPATH", "")
-    if src_dir not in existing.split(os.pathsep):
-        env["PYTHONPATH"] = (
-            src_dir + (os.pathsep + existing if existing else ""))
-    return env
-
-
-#: Public alias: the serve daemon's worker pool spawns the same kind of
-#: subprocess and needs the same importable-repro environment.
-worker_env = _worker_env
+def _close_children(children: Set) -> None:
+    for child in list(children):
+        child.close()
+    children.clear()
 
 
 class SweepRunner:
@@ -125,17 +116,23 @@ class SweepRunner:
         #: sweep (and across process boundaries).  Lazily created on
         #: first use; pass one in to share it across runners.
         self.baselines = baselines
-        #: Aggregated warm-prefix cache accounting from fork-group
-        #: batches (repro.runx.forkshare): workers report their store's
-        #: stats per batch and the runner sums them here.
+        #: Aggregated warm-prefix cache accounting (repro.runx.forkshare):
+        #: workers report their store's per-job delta and the runner sums
+        #: them here.
         self.snapshot_stats: Dict[str, int] = {
             "hits": 0, "misses": 0, "evictions": 0, "forks": 0}
         self._lock = threading.Lock()
         self._drain = threading.Event()
         self._done = 0
         self._total = 0
-        self._env: Optional[Dict[str, str]] = None  # built on first attempt
+        self._env: Optional[Dict[str, str]] = None  # built on first spawn
         self._pool: Optional[ThreadPoolExecutor] = None  # reused across runs
+        #: Each runner thread's persistent worker child lives in
+        #: ``_local.child``; ``_children`` holds them all for close(),
+        #: which also runs if the runner is dropped unclosed.
+        self._local = threading.local()
+        self._children: Set = set()
+        weakref.finalize(self, _close_children, self._children)
         if metrics is not None:
             self._c_started = metrics.counter(
                 "runx.cells.started", "cells whose first attempt launched")
@@ -216,8 +213,8 @@ class SweepRunner:
         """Partition the work list into schedulable units: single specs,
         plus *fork groups* — runs of cells that differ only in
         ``params["interval"]`` and therefore share a warm prefix
-        (:mod:`repro.runx.forkshare`).  A group runs in one worker
-        subprocess, sorted by ascending interval, so the first cell
+        (:mod:`repro.runx.forkshare`).  A group runs on one thread's
+        worker child, sorted by ascending interval, so the first cell
         warms the prefix every later cell forks from.  Inline isolation
         needs no grouping: cells already share the in-process store."""
         if self.isolation != "process" or self.metrics is not None:
@@ -256,91 +253,13 @@ class SweepRunner:
                           default=str)
 
     def _run_unit(self, unit) -> List[Tuple[str, CellResult]]:
-        if isinstance(unit, CellSpec):
-            res = self._run_cell(unit)
-            return [(unit.id, res)] if res is not None else []
-        return self._run_group(unit)
-
-    def _run_group(self, specs: List[CellSpec]) -> List[Tuple[str, CellResult]]:
-        """One fork group: a single batch worker, with per-cell fallback
-        to the ordinary retry path for anything the batch could not
-        deliver (batch worker crashed, one cell raised, drain)."""
-        replies = (self._attempt_group(specs)
-                   if not self._drain.is_set() else [None] * len(specs))
-        out: List[Tuple[str, CellResult]] = []
-        for spec, reply in zip(specs, replies):
-            if reply is not None and reply.get("ok"):
-                if self._c_started is not None or self._c_ok is not None:
-                    with self._lock:
-                        if self._c_started is not None:
-                            self._c_started.inc()
-                        if self._c_ok is not None:
-                            self._c_ok.inc()
-                result = CellResult(
-                    id=spec.id, status=OK, value=reply.get("value"),
-                    attempts=1,
-                    duration_s=round(float(reply.get("duration_s", 0.0)), 6),
-                    seed=spec.base_seed, digest=spec.digest(),
-                )
-                self._record(result, journal=True)
-                out.append((spec.id, result))
-            else:
-                res = self._run_cell(spec)
-                if res is not None:
-                    out.append((spec.id, res))
+        specs = [unit] if isinstance(unit, CellSpec) else unit
+        out = []
+        for spec in specs:  # a fork group stays on this thread's child
+            res = self._run_cell(spec)
+            if res is not None:
+                out.append((spec.id, res))
         return out
-
-    def _attempt_group(self, specs: List[CellSpec]) -> List[Optional[Dict]]:
-        """Run a fork group in one worker subprocess.  Returns the
-        per-cell replies (padded with ``None`` on any batch-level
-        failure, which sends every cell down the individual path)."""
-        nothing: List[Optional[Dict]] = [None] * len(specs)
-        req = {"cells": [
-            {"spec": s.to_record(), "attempt": 0, "seed": s.base_seed}
-            for s in specs
-        ]}
-        env = self._env
-        if env is None:
-            with self._lock:
-                if self._env is None:
-                    self._env = _worker_env()
-                env = self._env
-        timeout = (self.timeout_s * len(specs)
-                   if self.timeout_s is not None else None)
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.runx.worker"],
-                input=json.dumps(req), capture_output=True, text=True,
-                timeout=timeout, env=env,
-            )
-        except subprocess.TimeoutExpired:
-            if self._c_timeout is not None:
-                with self._lock:
-                    self._c_timeout.inc()
-            return nothing
-        except OSError:  # pragma: no cover — spawn failure
-            return nothing
-        reply = None
-        for line in reversed(proc.stdout.splitlines()):
-            if line.startswith(RESULT_SENTINEL):
-                try:
-                    reply = json.loads(line[len(RESULT_SENTINEL):])
-                except ValueError:
-                    return nothing
-                break
-        if reply is None or not reply.get("ok"):
-            log.warning("fork-group batch of %d cells failed; running "
-                        "cells individually", len(specs))
-            return nothing
-        if reply.get("snapshot_stats"):
-            with self._lock:
-                for k, v in reply["snapshot_stats"].items():
-                    if k in self.snapshot_stats:
-                        self.snapshot_stats[k] += int(v)
-        results = reply.get("results")
-        if not isinstance(results, list) or len(results) != len(specs):
-            return nothing
-        return results
 
     # -- graceful drain -------------------------------------------------------
     def request_drain(self) -> None:
@@ -353,10 +272,12 @@ class SweepRunner:
         return self._drain.is_set()
 
     def close(self) -> None:
-        """Release the worker thread pool (idempotent)."""
+        """Release the thread pool, then shut down and reap every worker
+        child (idempotent; a later ``run()`` spawns fresh children)."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+        _close_children(self._children)
 
     def __enter__(self) -> "SweepRunner":
         return self
@@ -468,57 +389,50 @@ class SweepRunner:
                 store = self.baselines
         return store
 
+    def _child(self):
+        """This thread's worker child, spawned (or respawned after a
+        failure killed the last one) on demand."""
+        from repro.runx.supervisor import WorkerChild, worker_env
+
+        child = getattr(self._local, "child", None)
+        if child is not None and child.alive:
+            return child
+        if child is not None:  # already killed and reaped by its failure
+            child.close()
+        with self._lock:
+            self._children.discard(child)
+            if self._env is None:
+                self._env = worker_env()
+        child = WorkerChild(self._env)
+        self._local.child = child
+        with self._lock:
+            self._children.add(child)
+        return child
+
     def _attempt_process(
         self, spec: CellSpec, attempt: int, seed: int,
     ) -> Tuple[Optional[Dict], Optional[str], Optional[Dict]]:
-        req: Dict = {
-            "spec": spec.to_record(),
-            "attempt": attempt,
-            "seed": seed,
-            "metrics": self.metrics is not None,
-        }
-        wants_baselines = bool(spec.params.get("attr"))
-        if wants_baselines:
+        from repro.runx.supervisor import WorkerFailed, WorkerTimeout
+
+        job: Dict = {"kind": "job", "id": spec.id, "spec": spec.to_record(),
+                     "seed": seed, "attempt": attempt}
+        if self.metrics is not None:
+            job["metrics"] = True
+        if spec.params.get("attr"):
             known = self._baseline_store().export_all()
             if known:
-                req["baselines"] = known
-        request = json.dumps(req)
-        env = self._env
-        if env is None:
-            with self._lock:
-                if self._env is None:
-                    self._env = _worker_env()
-                env = self._env
+                job["baselines"] = known
         try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "repro.runx.worker"],
-                input=request, capture_output=True, text=True,
-                timeout=self.timeout_s, env=env,
-            )
-        except subprocess.TimeoutExpired:
+            child = self._child()
+            child.submit(job)
+            reply = child.wait_result(spec.id, timeout_s=self.timeout_s)
+        except WorkerTimeout as exc:
             if self._c_timeout is not None:
                 with self._lock:
                     self._c_timeout.inc()
-            return None, f"watchdog timeout after {self.timeout_s:g}s", None
-        except OSError as exc:  # pragma: no cover — spawn failure
-            return None, f"could not spawn worker: {exc}", None
-        reply = None
-        for line in reversed(proc.stdout.splitlines()):
-            if line.startswith(RESULT_SENTINEL):
-                try:
-                    reply = json.loads(line[len(RESULT_SENTINEL):])
-                except ValueError:
-                    return None, "corrupt result record from worker", None
-                break
-        if reply is None:
-            tail = proc.stderr[-_STDERR_TAIL:].strip()
-            if proc.returncode < 0:
-                err = f"worker killed by signal {-proc.returncode}"
-            elif proc.returncode != 0:
-                err = f"worker exited with status {proc.returncode}"
-            else:
-                err = "worker produced no result record"
-            return None, err + (f"; stderr: {tail}" if tail else ""), None
+            return None, str(exc), None
+        except WorkerFailed as exc:
+            return None, str(exc), None
         if reply.get("baselines"):
             self._baseline_store().absorb(reply["baselines"])
         if reply.get("snapshot_stats"):

@@ -19,9 +19,8 @@ headline feature:
 * :mod:`repro.serve.queue` — a durable fsync'd job journal in the
   `repro.runx.journal` record format: ``kill -9`` of the daemon loses no
   accepted job, and a restart replays exactly the unfinished work;
-* :mod:`repro.serve.workproc` — the long-lived worker subprocess
-  (heartbeats while executing, chaos-plan hooks for drills);
-* :mod:`repro.serve.pool` — asyncio worker supervision: heartbeat
+* :mod:`repro.serve.pool` — asyncio supervision of the persistent
+  :mod:`repro.runx.workproc` workers the sweep runner also uses: heartbeat
   monitoring, per-cell watchdog timeouts, bounded exponential-backoff
   restarts;
 * :mod:`repro.serve.daemon` — the daemon itself: in-flight request

@@ -8,8 +8,9 @@ is a pull loop over the fleet protocol (:mod:`repro.serve.protocol`):
     hello → lease-request → run the cell → heartbeat while it runs
           → worker-result (with the lease's fencing token) → repeat
 
-Cells execute in a supervised :mod:`repro.serve.workproc` child — the
-same long-lived worker subprocess the daemon's local pool drives — so a
+Cells execute in a supervised :mod:`repro.runx.workproc` child
+(:class:`repro.runx.supervisor.WorkerChild`) — the same long-lived
+worker the daemon's local pool and the sweep runner drive — so a
 segfaulting or chaos-killed cell takes down the child, not the agent,
 and the agent reports the infrastructure failure instead of vanishing.
 The agent enforces the lease's watchdog deadline and a child-heartbeat
@@ -39,22 +40,17 @@ return — which is exactly the partition drill
 
 from __future__ import annotations
 
-import json
 import logging
 import os
-import queue
 import signal
 import socket
-import subprocess
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.runx.runner import worker_env
+from repro.runx.supervisor import WorkerChild, WorkerFailed
 from repro.serve import protocol
 from repro.serve.client import decorrelated_jitter
-from repro.serve.workproc import spawn_argv
 
 __all__ = ["AgentConfig", "WorkerAgent", "run"]
 
@@ -82,49 +78,8 @@ class _SessionLost(Exception):
     """The daemon connection died; reconnect with backoff."""
 
 
-class _Child:
-    """One supervised workproc subprocess with a line-reader thread."""
-
-    def __init__(self):
-        self.proc = subprocess.Popen(
-            spawn_argv(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            env=worker_env(), text=True, bufsize=1)
-        self.lines: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
-        self._reader = threading.Thread(
-            target=self._read, name="agent-child-reader", daemon=True)
-        self._reader.start()
-        rec = self._next(timeout=30.0)
-        if rec is None or rec.get("kind") != "ready":
-            self.kill()
-            raise RuntimeError("workproc child never became ready")
-
-    def _read(self) -> None:
-        for line in self.proc.stdout:
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                continue  # chaos corrupt / stray logging: skip
-            if isinstance(rec, dict):
-                self.lines.put(rec)
-        self.lines.put(None)  # EOF sentinel: the child died
-
-    def _next(self, timeout: float) -> Optional[Dict[str, Any]]:
-        try:
-            return self.lines.get(timeout=timeout)
-        except queue.Empty:
-            return {"kind": "idle"}  # distinguishable from EOF's None
-
-    def submit(self, job: Dict[str, Any]) -> None:
-        self.proc.stdin.write(
-            json.dumps(job, separators=(",", ":")) + "\n")
-        self.proc.stdin.flush()
-
-    def kill(self) -> None:
-        try:
-            self.proc.kill()
-        except OSError:
-            pass
-        self.proc.wait()
+class _Revoked(Exception):
+    """The daemon no longer holds our lease on the cell in flight."""
 
 
 class WorkerAgent:
@@ -135,7 +90,7 @@ class WorkerAgent:
         self._stop = threading.Event()
         self._sock: Optional[socket.socket] = None
         self._fp = None
-        self._child: Optional[_Child] = None
+        self._child: Optional[WorkerChild] = None
         #: local tallies, logged on exit (the daemon holds the real ones).
         self.jobs_done = 0
         self.fenced = 0
@@ -228,102 +183,71 @@ class WorkerAgent:
         """Kill any in-flight job: our lease is void, and a re-run of a
         deterministic cell elsewhere is byte-identical."""
         if self._child is not None:
-            self._child.kill()
+            self._child.close(grace_s=0)
             self._child = None
 
-    def _ensure_child(self) -> _Child:
-        if self._child is None or self._child.proc.poll() is not None:
+    def _ensure_child(self) -> WorkerChild:
+        if self._child is None or not self._child.alive:
             self._abandon_child()
-            self._child = _Child()
+            self._child = WorkerChild()
         return self._child
 
     # -- one lease ------------------------------------------------------------
     def _run_lease(self, lease: Dict[str, Any]) -> None:
         cfg = self.config
         digest, token = lease["digest"], lease["token"]
+        job = {"kind": "job", "id": digest, "spec": lease["spec"],
+               "seed": lease["seed"], "attempt": lease.get("attempt", 0)}
+        if lease.get("baselines"):
+            job["baselines"] = lease["baselines"]
+        timeout_s = lease.get("timeout_s")
+
+        def renew() -> None:
+            rep = self._request({"op": "worker-heartbeat",
+                                 "digest": digest, "token": token})
+            if rep.get("lease") != "ok":
+                raise _Revoked
+
         try:
             child = self._ensure_child()
-            job = {"kind": "job", "id": digest, "spec": lease["spec"],
-                   "seed": lease["seed"],
-                   "attempt": lease.get("attempt", 0)}
-            if lease.get("baselines"):
-                job["baselines"] = lease["baselines"]
             child.submit(job)
-        except (RuntimeError, OSError, BrokenPipeError) as exc:
+            # Every tick — child beat or idle — keeps the daemon heartbeat
+            # on schedule, and a result already in is taken before the
+            # tick: a result finished during a freeze must race the
+            # daemon's fencing check, not sit behind a heartbeat that
+            # would have us discard it silently.
+            rec = child.wait_result(
+                digest, timeout_s=float(timeout_s) if timeout_s else None,
+                silence_s=cfg.child_hb_timeout_s, tick_s=cfg.hb_s,
+                on_tick=renew)
+        except WorkerFailed as exc:
             self._abandon_child()
             self._deliver(digest, token, {
-                "ok": False, "infra": True,
-                "error": f"agent could not start the cell: {exc}"})
+                "ok": False, "infra": True, "error": str(exc)})
             return
-
-        timeout_s = lease.get("timeout_s")
-        deadline = (time.monotonic() + float(timeout_s)
-                    if timeout_s else None)
-        next_hb = time.monotonic() + cfg.hb_s
-        last_child_line = time.monotonic()
-        while True:
-            # Result first, heartbeat second: a result finished during a
-            # freeze must race the daemon's fencing check, not sit behind
-            # a heartbeat that would have us discard it silently.
-            wait = max(0.05, min(next_hb - time.monotonic(), 1.0))
-            rec = child._next(timeout=wait)
-            now = time.monotonic()
-            if rec is None:  # EOF: the child died mid-cell
-                rc = child.proc.returncode
+        except _Revoked:
+            # We were frozen, partitioned, or too slow and the cell
+            # belongs to someone else now.  If the child finished
+            # *during* the freeze its result may still be racing the
+            # reader thread — wait briefly and deliver whatever we have
+            # (the finished result, or an infra abandonment if the cell
+            # never ran to completion).  Either way the daemon's token
+            # check is the arbiter, not us: it fences the stale token,
+            # and its fenced counter sees every zombie return.
+            log.warning("agent: lease on %s revoked", digest)
+            try:
+                rec = self._child.wait_result(digest, timeout_s=0.5)
+            except WorkerFailed:
                 self._abandon_child()
                 self._deliver(digest, token, {
                     "ok": False, "infra": True,
-                    "error": f"workproc child died mid-cell (rc={rc})"})
+                    "error": "lease revoked before the cell finished; "
+                             "abandoned"})
                 return
-            kind = rec.get("kind")
-            if kind == "result" and rec.get("id") == digest:
-                self._deliver(digest, token, self._result_fields(rec))
-                self.jobs_done += 1
-                return
-            if kind in ("hb", "result"):
-                last_child_line = now
-            # Every tick — child beat or idle — enforces the local
-            # watchdogs and keeps the daemon heartbeat on schedule (a
-            # chatty child must not starve lease renewal).
-            if deadline is not None and now >= deadline:
-                self._abandon_child()
-                self._deliver(digest, token, {
-                    "ok": False, "infra": True,
-                    "error": f"watchdog timeout after {timeout_s:g}s"})
-                return
-            if now - last_child_line > cfg.child_hb_timeout_s:
-                self._abandon_child()
-                self._deliver(digest, token, {
-                    "ok": False, "infra": True,
-                    "error": "workproc child frozen (no heartbeat for "
-                             f"{cfg.child_hb_timeout_s:g}s)"})
-                return
-            if now >= next_hb:
-                next_hb = now + cfg.hb_s
-                rep = self._request({"op": "worker-heartbeat",
-                                     "digest": digest, "token": token})
-                if rep.get("lease") != "ok":
-                    # Revoked: we were frozen, partitioned, or too slow
-                    # and the cell belongs to someone else now.  If the
-                    # child finished *during* the freeze its result may
-                    # still be racing our reader thread — drain briefly
-                    # and deliver whatever we have (the finished result,
-                    # or an infra abandonment if the cell never ran to
-                    # completion).  Either way the daemon's token check
-                    # is the arbiter, not us: it fences the stale token,
-                    # and its fenced counter sees every zombie return.
-                    log.warning("agent: lease on %s revoked", digest)
-                    rec = self._pending_result(digest, grace_s=0.5)
-                    if rec is not None:
-                        self._deliver(digest, token,
-                                      self._result_fields(rec))
-                        return
-                    self._abandon_child()
-                    self._deliver(digest, token, {
-                        "ok": False, "infra": True,
-                        "error": "lease revoked before the cell "
-                                 "finished; abandoned"})
-                    return
+            self._deliver(digest, token, self._result_fields(rec))
+            return
+        self._deliver(digest, token, self._result_fields(rec))
+        self.jobs_done += 1
 
     @staticmethod
     def _result_fields(rec: Dict[str, Any]) -> Dict[str, Any]:
@@ -331,24 +255,6 @@ class WorkerAgent:
                 ("ok", "value", "error", "failed_in_sim", "fault",
                  "baselines", "baseline_stats", "snapshot_stats")
                 if k in rec}
-
-    def _pending_result(self, digest: str,
-                        grace_s: float) -> Optional[Dict[str, Any]]:
-        """The child's result record for ``digest`` if one is already in
-        (or lands within ``grace_s``), draining heartbeats on the way;
-        ``None`` once the grace expires or the child dies."""
-        if self._child is None:
-            return None
-        deadline = time.monotonic() + grace_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
-            rec = self._child._next(timeout=remaining)
-            if rec is None:
-                return None  # EOF: the child died without a result
-            if rec.get("kind") == "result" and rec.get("id") == digest:
-                return rec
 
     def _deliver(self, digest: str, token: int,
                  result: Dict[str, Any]) -> None:

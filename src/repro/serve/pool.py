@@ -1,7 +1,8 @@
 """Supervised worker pool: heartbeats, watchdogs, bounded-backoff restarts.
 
-The pool owns N long-lived :mod:`repro.serve.workproc` subprocesses and
-one asyncio task per worker slot.  Each slot loops: take a work order
+The pool owns N long-lived :mod:`repro.runx.workproc` subprocesses (the
+same worker the sweep runner and the fleet agent drive) and one asyncio
+task per worker slot.  Each slot loops: take a work order
 from the shared queue, hand it to the worker, and watch the worker's
 stdout until one of four things happens —
 
@@ -29,16 +30,12 @@ import json
 import logging
 from typing import Any, Awaitable, Callable, Dict, List, Optional
 
-from repro.runx.runner import worker_env
+from repro.runx.supervisor import BOOT_TIMEOUT_S, spawn_argv, worker_env
 from repro.serve.protocol import MAX_LINE
-from repro.serve.workproc import spawn_argv
 
 __all__ = ["WorkOrder", "Outcome", "WorkerPool"]
 
 log = logging.getLogger(__name__)
-
-#: How long a freshly spawned worker gets to print its ready line.
-BOOT_TIMEOUT_S = 30.0
 
 
 class WorkOrder:

@@ -1,11 +1,16 @@
 """The fault-injection harness, driven through real worker subprocesses."""
 
+import os
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runx import SweepRunner
 from repro.runx.chaos import PLAN_ENV, FaultPlan, FaultRule
 from repro.runx.spec import CellSpec, attempt_seed
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 
 def test_rule_matching_globs_and_attempt_scope():
@@ -37,7 +42,9 @@ def _chaos_run(monkeypatch, tmp_path, rules, specs, **runner_kw):
     plan_path = str(tmp_path / "plan.json")
     FaultPlan.from_rules(rules).write(plan_path)
     monkeypatch.setenv(PLAN_ENV, plan_path)
-    return SweepRunner(isolation="process", backoff_s=0.0, **runner_kw).run(specs)
+    with SweepRunner(isolation="process", backoff_s=0.0,
+                     **runner_kw) as runner:
+        return runner.run(specs)
 
 
 def test_kill_fault_becomes_failed_cell(monkeypatch, tmp_path):
@@ -89,3 +96,36 @@ def test_hang_fault_is_ended_by_watchdog_then_retried(monkeypatch, tmp_path):
     assert res.ok and res.attempts == 2
     assert reg.get("runx.cells.timeouts").value == 1
     assert "watchdog timeout" in res.attempt_errors[0]
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("kill", "worker killed by signal 9"),
+    ("hang", "watchdog timeout after 3s"),
+    ("corrupt", "worker produced no result record"),
+    ("flake", "worker exited with status 17"),
+])
+def test_fault_fails_one_attempt_and_respawned_worker_finishes(
+        monkeypatch, tmp_path, fault, error):
+    """Each fault class costs exactly the attempt in flight: the child is
+    killed (or has died), and one fresh child serves the retry and every
+    later cell."""
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (REPO, os.environ.get("PYTHONPATH")) if p))
+    specs = [CellSpec(id=name, fn="tests.runx.pidcell:pid_cell",
+                      base_seed=i + 1)
+             for i, name in enumerate(("before", "victim", "after1",
+                                       "after2"))]
+    results = _chaos_run(
+        monkeypatch, tmp_path,
+        [{"match": "victim", "fault": fault, "attempts": [0],
+          "hang_s": 60}],
+        specs, retries=1, timeout_s=3.0)
+    assert all(r.ok for r in results.values())
+    victim = results["victim"]
+    assert victim.attempts == 2 and len(victim.attempt_errors) == 1
+    assert error in victim.attempt_errors[0]
+    assert all(results[n].attempts == 1
+               for n in ("before", "after1", "after2"))
+    pids = {n: r.value["pid"] for n, r in results.items()}
+    assert pids["victim"] == pids["after1"] == pids["after2"]
+    assert pids["before"] != pids["victim"]

@@ -1,6 +1,7 @@
 """Graceful drain: SIGINT/SIGTERM finish in-flight cells, keep the
 journal whole, and leave a resumable run behind (exit 130)."""
 
+import json
 import os
 import signal
 import subprocess
@@ -110,3 +111,45 @@ def test_sigint_drains_cli_sweep_with_resume_hint(tmp_path):
     )
     assert resumed.returncode == 0, resumed.stderr
     assert os.path.exists(man) and not os.path.exists(part)
+
+
+def _table2(man, *extra, **popen_kw):
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "table2", "--quick",
+         "--manifest", man, *extra],
+        env=_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, **popen_kw)
+
+
+def test_process_group_sigint_drains_without_failing_cells(tmp_path):
+    """A terminal Ctrl-C signals the whole process group, workers
+    included.  Workers ignore it, so in-flight cells still finish and
+    are journaled ok, the CLI exits 130, and the resumed table is
+    byte-identical to an uninterrupted run."""
+    man = str(tmp_path / "pg.json")
+    part = man + ".part.jsonl"
+    sweep = _table2(man, "--jobs", "2", "--reps", "3", cwd=str(tmp_path),
+                    start_new_session=True)
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if os.path.exists(part) and sum(1 for _ in open(part)) >= 3:
+            break
+        time.sleep(0.05)
+        assert sweep.poll() is None, "sweep finished before the signal"
+    os.killpg(sweep.pid, signal.SIGINT)
+    _, err = sweep.communicate(timeout=120)
+    assert sweep.returncode == 130, err
+    header, cells = load_resume(man)
+    assert cells, "the drain must have preserved completed cells"
+    with open(part) as fp:
+        statuses = [json.loads(line).get("status") for line in fp]
+    assert "failed" not in statuses, err
+
+    resumed = _table2(man, "--resume", man, cwd=str(tmp_path))
+    out, err = resumed.communicate(timeout=300)
+    assert resumed.returncode == 0, err
+    clean = _table2(str(tmp_path / "clean.json"), "--reps", "3",
+                    cwd=str(tmp_path))
+    ref, err = clean.communicate(timeout=300)
+    assert clean.returncode == 0, err
+    assert out == ref

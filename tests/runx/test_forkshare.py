@@ -17,7 +17,7 @@ Four groups:
 
 * Planning — :func:`repro.harness.mpi_tables.interval_sweep_specs`
   emits the prefix-shareable shape and the sweep runner groups those
-  cells into one batch unit, smallest interval first.
+  cells into one unit for one persistent worker, smallest interval first.
 """
 
 import pytest
@@ -279,21 +279,20 @@ def test_fork_group_key_rules():
     assert key(other_seed) != key(a)
 
 
-def test_worker_batch_protocol_roundtrip():
-    """The batch branch of the worker: one request with ``cells`` runs
-    each in order and replies per-cell, with in-band per-cell errors."""
-    from repro.runx.worker import _run_batch
-
-    good = CellSpec(id="g", fn="synthetic",
-                    params={"value": 2.0, "reps": 1}, base_seed=5)
-    bad = CellSpec(id="b", fn="synthetic",
-                   params={"raise": "boom", "reps": 1}, base_seed=6)
-    reply = _run_batch({"cells": [
-        {"spec": good.to_record(), "attempt": 0, "seed": 5},
-        {"spec": bad.to_record(), "attempt": 0, "seed": 6},
-    ]})
-    assert reply["ok"] is True
-    r_good, r_bad = reply["results"]
-    assert r_good["ok"]
-    assert r_good["value"]["values"] == [2.0 + 1e-9 * rep_seed(5, 0)]
-    assert not r_bad["ok"] and "boom" in r_bad["error"]
+@needs_fork
+def test_fork_group_runs_on_one_persistent_worker():
+    """A fork group is its cells sent in ascending-interval order to one
+    persistent worker: the first cell warms the prefix, and every later
+    cell forks it from the worker's store, which outlives each job."""
+    specs = _iv_specs()
+    with SweepRunner(isolation="process", jobs=2) as runner:
+        results = runner.run(specs)
+        pids = {child.proc.pid for child in runner._children}
+        stats = dict(runner.snapshot_stats)
+    assert all(r.ok for r in results.values())
+    assert len(pids) == 1  # one unit, so one thread and one child
+    assert stats["misses"] == 1
+    assert stats["hits"] == len(specs) - 1
+    inline = SweepRunner(isolation="inline").run(specs)
+    assert {k: v.value for k, v in results.items()} == \
+        {k: v.value for k, v in inline.items()}

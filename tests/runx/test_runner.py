@@ -1,14 +1,24 @@
 """The sweep engine: isolation, retries, watchdog, resume, parallelism.
 
-Process-isolation tests spawn real worker subprocesses on synthetic
-cells (no simulation), so each costs one interpreter start, not a sweep.
+Process-isolation tests drive real persistent worker subprocesses on
+synthetic cells (no simulation), so each costs one interpreter start per
+runner thread, not a sweep.
 """
+
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runx import Journal, SweepRunner, load_resume
 from repro.runx.spec import CellResult, CellSpec, attempt_seed
+from repro.runx.supervisor import WorkerChild, worker_env
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+PID_CELL = "tests.runx.pidcell:pid_cell"
 
 SYN = [
     CellSpec(id=f"syn {i}", fn="synthetic",
@@ -132,3 +142,121 @@ def test_worker_metrics_are_merged_into_parent_registry():
     res = SweepRunner(isolation="process", metrics=reg).run([spec])["nas tiny"]
     assert res.ok
     assert reg.get("engine.events.fired").value > 0
+
+
+def test_worker_metrics_merge_once_per_job():
+    """Two cells in one persistent worker: each job gets a fresh
+    registry, so the merged counters equal an inline run's exactly."""
+    specs = [
+        CellSpec(id=f"nas tiny {i}", fn="nas",
+                 params={"bench": "EP", "cls": "A", "nodes": 1, "rpn": 1,
+                         "smm": 0, "reps": 1}, base_seed=1 + i)
+        for i in range(2)
+    ]
+    inline, proc = MetricsRegistry(), MetricsRegistry()
+    SweepRunner(isolation="inline", metrics=inline).run(specs)
+    with SweepRunner(isolation="process", metrics=proc) as runner:
+        assert all(r.ok for r in runner.run(specs).values())
+        assert len(runner._children) == 1
+
+    def counters(reg):
+        return {n: rec["value"] for n, rec in reg.snapshot().items()
+                if rec["type"] == "counter"}
+
+    assert counters(proc) == counters(inline)
+    assert proc.get("engine.events.fired").value > 0
+
+
+# -- persistent workers --------------------------------------------------------
+
+@pytest.fixture
+def pid_cells(monkeypatch):
+    """Make :mod:`tests.runx.pidcell` importable in worker children."""
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        p for p in (REPO, os.environ.get("PYTHONPATH")) if p))
+
+    def make(*names, **params):
+        return [CellSpec(id=n, fn=PID_CELL, params=dict(params),
+                         base_seed=i + 1) for i, n in enumerate(names)]
+    return make
+
+
+def test_in_band_exception_keeps_the_worker(pid_cells):
+    specs = pid_cells("a", "b")
+    specs.insert(1, CellSpec(id="boom", fn=PID_CELL,
+                             params={"raise": "in-band"}))
+    with SweepRunner(isolation="process") as runner:
+        results = runner.run(specs)
+    assert not results["boom"].ok and "in-band" in results["boom"].error
+    assert results["a"].value["pid"] == results["b"].value["pid"]
+
+
+def test_close_reaps_every_child_and_run_respawns(pid_cells):
+    specs = pid_cells("a", "b", "c", "d")
+    runner = SweepRunner(isolation="process", jobs=2)
+    first = runner.run(specs)
+    children = list(runner._children)
+    assert {r.value["pid"] for r in first.values()} \
+        == {c.proc.pid for c in children}
+    runner.close()
+    assert runner._children == set()
+    for child in children:
+        assert child.proc.returncode == 0  # EOF shutdown, reaped
+        with pytest.raises(ProcessLookupError):
+            os.kill(child.proc.pid, 0)
+    again = runner.run(specs)  # a resume loop reuses a closed runner
+    assert all(r.ok for r in again.values())
+    assert {r.value["pid"] for r in again.values()}.isdisjoint(
+        {c.proc.pid for c in children})
+    runner.close()
+    assert runner._children == set()
+
+
+def test_fully_resumed_sweep_spawns_no_worker():
+    done = {s.id: CellResult(id=s.id, status="ok", value={"values": [1.0]})
+            for s in SYN}
+    with SweepRunner(isolation="process", jobs=2) as runner:
+        results = runner.run(SYN, completed=done)
+        assert runner._children == set()
+    assert all(r.resumed for r in results.values())
+
+
+def test_attr_baseline_stats_are_per_job():
+    """The baseline store outlives each job in a persistent worker; the
+    hit/miss tally on each result line is that job's delta only."""
+    params = {"bench": "EP", "cls": "A", "nodes": 1, "rpn": 1, "smm": 0,
+              "reps": 1, "attr": True}
+    spec = CellSpec(id="attr0", fn="nas", params=params, base_seed=5)
+    child = WorkerChild(worker_env())
+    try:
+        replies = []
+        for i in range(3):
+            child.submit({"kind": "job", "id": f"j{i}",
+                          "spec": spec.to_record(), "seed": 5})
+            replies.append(child.wait_result(f"j{i}", timeout_s=120))
+    finally:
+        child.close()
+    assert all(r["ok"] for r in replies)
+    assert replies[0]["baseline_stats"] == {"hits": 0, "misses": 1}
+    assert replies[0]["baselines"]
+    for r in replies[1:]:
+        assert r["baseline_stats"] == {"hits": 1, "misses": 0}
+        assert "baselines" not in r
+    assert replies[0]["value"] == replies[1]["value"] == replies[2]["value"]
+
+
+def test_worker_module_boots_cleanly_without_serve():
+    """``-m`` of the worker must not trip runpy's double-import warning,
+    and the worker must never import the serve package."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime",
+         "-m", "repro.runx.workproc"],
+        stdin=subprocess.DEVNULL, capture_output=True, text=True,
+        env=worker_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.startswith('{"kind":"ready"')
+    imported = [line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "repro.runx.cells" in imported
+    assert not [m for m in imported if m.startswith("repro.serve")]
