@@ -6,7 +6,7 @@ The perf trajectory of this repo: every run emits one JSON document
     {"benches": {name: {"wall_s": float, "events": int|null,
                         "events_per_s": float|null}},
      "reps": int, "quick": bool, "python": "3.x.y",
-     "numpy": "x.y.z"|null, "engine": "py"|"vec"}
+     "numpy": "x.y.z"|null}
 
 and, when a baseline file is available (``--baseline``, default
 ``benchmarks/results/BENCH_perf_baseline.json``), a ``"speedup"``
@@ -21,13 +21,7 @@ Benches
     (cancellation pressure).  ``events`` is the number of heap pushes.
 ``rate_churn``
     Rate-executor reassignment throughput at table-sweep occupancy (16
-    items — the scalar regime under both engines; see ``rate_vec`` for
-    the vector regime).  ``events`` counts item-rate updates applied.
-``rate_vec``
-    The same churn shape at 256 resident items — past
-    ``VecRateExecutor.VEC_MIN``, so under ``REPRO_ENGINE=vec`` the
-    numpy sync/reschedule kernels carry every pass (scalar loops under
-    ``REPRO_ENGINE=py``).  ``events`` counts item-rate updates applied.
+    items).  ``events`` counts item-rate updates applied.
 ``bt_cell``
     One Table-1 cell: NPB BT class A on 16 single-rank nodes under the
     long-SMI profile (the tentpole's ≥1.5× target cell).
@@ -127,11 +121,11 @@ def engine_churn(scale: int) -> int:
 def rate_churn(scale: int) -> int:
     """Rate-executor reassignment churn; returns item-rate updates applied."""
     from repro.simx.engine import Engine
-    from repro.simx.rate import WorkItem, make_rate_executor
+    from repro.simx.rate import RateExecutor, WorkItem
 
     eng = Engine()
     done = []
-    ex = make_rate_executor(eng, done.append)
+    ex = RateExecutor(eng, done.append)
     n_items = 16
     items = [WorkItem(eng, demand=1e15, name=f"w{j}") for j in range(n_items)]
     for it in items:
@@ -151,34 +145,6 @@ def rate_churn(scale: int) -> int:
             yield 50  # ns between reassignment bursts
 
     eng.process(churner(), name="churn")
-    eng.run()
-    return updates
-
-
-def rate_vec(scale: int) -> int:
-    """Vector-regime churn: one executor holding 256 items (past
-    ``VecRateExecutor.VEC_MIN``), full positional reassignment each
-    burst; returns item-rate updates applied."""
-    from repro.simx.engine import Engine
-    from repro.simx.rate import WorkItem, make_rate_executor
-
-    eng = Engine()
-    done = []
-    ex = make_rate_executor(eng, done.append)
-    n_items = 256
-    for j in range(n_items):
-        ex.add(WorkItem(eng, demand=1e15, name=f"v{j}"))
-    updates = 0
-
-    def churner():
-        nonlocal updates
-        for r in range(scale):
-            ex.set_rates_seq(
-                [0.5 + ((r + j) % 5) for j in range(n_items)])
-            updates += n_items
-            yield 50  # ns between reassignment bursts
-
-    eng.process(churner(), name="vchurn")
     eng.run()
     return updates
 
@@ -297,11 +263,9 @@ def main(argv=None) -> int:
 
     reps = 1 if args.quick else args.reps
     scale = 2_000 if args.quick else 20_000
-    vec_scale = max(1, scale // 4)  # 256 items/burst: same update budget
     benches: Dict[str, Tuple[Callable[[], int], Optional[Callable[[], int]]]] = {
         "engine_churn": (lambda: engine_churn(scale), None),
         "rate_churn": (lambda: rate_churn(scale), None),
-        "rate_vec": (lambda: rate_vec(vec_scale), None),
         "bt_cell": (bt_cell, lambda: _scheduled_events(bt_cell)),
         "ft_cell": (ft_cell, lambda: _scheduled_events(ft_cell)),
         "figure1_line": (
@@ -330,14 +294,12 @@ def main(argv=None) -> int:
     except ImportError:
         numpy_version = None
     from repro.runx.forkshare import snapshot_mode
-    from repro.simx.rate import current_engine
     doc = {
         "benches": results,
         "reps": reps,
         "quick": bool(args.quick),
         "python": platform.python_version(),
         "numpy": numpy_version,
-        "engine": current_engine(),
         "snapshot": {"mode": snapshot_mode(), **FORK_STATS},
     }
     if args.baseline and os.path.exists(args.baseline):

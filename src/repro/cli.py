@@ -938,8 +938,7 @@ def _serve_status(args: argparse.Namespace) -> int:
     engine = st.get("engine", {})
     if engine:
         bl = engine.get("baseline_cache", {})
-        print(f"engine: {engine.get('name', '?')}, baseline cache "
-              f"{bl.get('entries', 0)} entries "
+        print(f"engine: baseline cache {bl.get('entries', 0)} entries "
               f"({bl.get('hits', 0)} hits, {bl.get('misses', 0)} misses, "
               f"{bl.get('evictions', 0)} evictions)")
         sc = engine.get("snapshot_cache", {})

@@ -128,13 +128,7 @@ class CacheHierarchy:
         solo memory-bound efficiency even with no co-residents."""
         core_ws = sum(p.working_set_bytes for p in core_coresidents)
         socket_ws = sum(p.working_set_bytes for p in socket_coresidents)
-        key = (profile, core_ws, socket_ws)
-        eff = self._eff_cache.get(key)
-        if eff is None:
-            extra_dram, extra_mid = self._contention_ws(profile, core_ws, socket_ws)
-            eff = 1.0 / profile.cost_per_op(extra_dram, extra_mid)
-            self._eff_cache[key] = eff
-        return eff
+        return self.efficiencies([profile], core_ws, socket_ws)[0]
 
     def efficiency_solo(self, profile: WorkloadProfile) -> float:
         """:meth:`efficiency` for a profile that is alone at both sharing
@@ -154,26 +148,29 @@ class CacheHierarchy:
     def efficiencies(
         self,
         profiles: Sequence[WorkloadProfile],
-        core_coresidents: Iterable[WorkloadProfile],
-        socket_coresidents: Iterable[WorkloadProfile],
+        core_ws: int,
+        socket_ws: int,
     ) -> list:
         """:meth:`efficiency` for every profile of one CPU's resident
-        set, sharing one context.  The working-set sums — identical for
-        every item on the CPU — are folded once instead of once per item
-        (same left-to-right ``sum`` order, so each returned float is the
-        exact value :meth:`efficiency` computes)."""
-        core_ws = sum(p.working_set_bytes for p in core_coresidents)
-        socket_ws = sum(p.working_set_bytes for p in socket_coresidents)
+        set, given the summed working sets of its core and socket
+        co-residents (the caller sums them once per rate pass; integer
+        sums are order-free, so the memo key is the one :meth:`efficiency`
+        builds).  A run of the *same* profile object — 24 Convolve threads
+        share one — costs one memo lookup, not one hash per item."""
         cache = self._eff_cache
         out = []
+        prev = None
+        eff = 0.0
         for profile in profiles:
-            key = (profile, core_ws, socket_ws)
-            eff = cache.get(key)
-            if eff is None:
-                extra_dram, extra_mid = self._contention_ws(
-                    profile, core_ws, socket_ws)
-                eff = 1.0 / profile.cost_per_op(extra_dram, extra_mid)
-                cache[key] = eff
+            if profile is not prev:
+                prev = profile
+                key = (profile, core_ws, socket_ws)
+                eff = cache.get(key)
+                if eff is None:
+                    extra_dram, extra_mid = self._contention_ws(
+                        profile, core_ws, socket_ws)
+                    eff = 1.0 / profile.cost_per_op(extra_dram, extra_mid)
+                    cache[key] = eff
             out.append(eff)
         return out
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional, TYPE_CHECKING
 
 from repro.simx.engine import Engine
-from repro.simx.rate import WorkItem, make_rate_executor
+from repro.simx.rate import RateExecutor, WorkItem
 from repro.machine.profile import WorkloadProfile
 from repro.machine.topology import LogicalCpuState
 
@@ -46,7 +46,7 @@ class LogicalCpu:
         self.node = node
         self.state = state
         self.engine: Engine = node.engine
-        self.executor = make_rate_executor(
+        self.executor = RateExecutor(
             self.engine, self._on_item_complete, self._busy_changed)
         #: callback(work_item) invoked when a segment finishes (set by scheduler)
         self.on_segment_done: Optional[Callable[[WorkItem], None]] = None
@@ -129,95 +129,58 @@ class LogicalCpu:
         combined_yield = sum(p.htt_yield for p in mix) / len(mix)
         return base * combined_yield / 2.0
 
-    def compute_rates(self, ctx=None) -> List[float]:
+    def compute_rates(self, core_ws: int, socket_ws: int,
+                      sibling: Optional["LogicalCpu"]) -> List[float]:
         """New rate (work units per *nanosecond*) for every resident
         segment, positionally aligned with ``executor.items`` (feed the
         result to :meth:`repro.simx.rate.RateExecutor.set_rates_seq`).
 
-        ``ctx`` is an optional ``(per_cpu_profiles, per_socket_profiles)``
-        pair precomputed by :meth:`repro.machine.node.Node.apply_rates`;
-        without it the per-CPU scans below rebuild the same lists (same
-        element order, so the arithmetic is identical either way).
+        :meth:`repro.machine.node.Node.apply_rates` supplies the cache
+        context once per pass: ``core_ws``/``socket_ws`` are the summed
+        working sets of this CPU plus its busy sibling, and of every busy
+        CPU on its socket; ``sibling`` is the HTT sibling when it is busy
+        too, else ``None``.
         """
         items = self.executor.items
-        if not items:
-            return []
-        if ctx is None:
-            gross = self.gross_hz()
-            if gross <= 0.0:
-                return [0.0] * len(items)
-            # Cache context: co-residents at core level (this cpu + sibling)
-            # and socket level (all cpus of the socket).
-            core_profiles = self._core_profiles()
-            socket_profiles = self._socket_profiles()
+        node = self.node
+        if node._frozen or not self.state.online:
+            return [0.0] * len(items)
+        base = node.spec.base_hz * self.degradation
+        if sibling is not None:
+            # Both siblings busy: aggregate yield from the combined mix.
+            mix = items + sibling.executor.items
+            combined_yield = (
+                sum([it.meta.profile.htt_yield for it in mix]) / len(mix))
+            gross = base * combined_yield / 2.0
         else:
-            # ctx maps busy-cpu index -> profile list; idle CPUs are absent
-            # (their contribution to every list below is empty anyway).
-            profs, socket_profs = ctx
-            if self.node._frozen or not self.state.online:
-                return [0.0] * len(items)
-            sib_state = self.state.sibling
-            sib_profiles = (
-                profs.get(sib_state.index)
-                if sib_state is not None and sib_state.online
-                else None
-            )
-            base = self.node.spec.base_hz * self.degradation
-            if sib_profiles:
-                # Both siblings busy: aggregate yield from the combined mix
-                # (same mix list as _core_profiles in this configuration).
-                core_profiles = profs[self.index] + sib_profiles
-                combined_yield = (
-                    sum(p.htt_yield for p in core_profiles) / len(core_profiles)
-                )
-                gross = base * combined_yield / 2.0
-            else:
-                core_profiles = list(profs[self.index])
-                gross = base
-            if gross <= 0.0:
-                return [0.0] * len(items)
-            socket_profiles = socket_profs.get(self.state.core.socket, [])
+            gross = base
+        if gross <= 0.0:
+            return [0.0] * len(items)
         share_hz = gross / len(items)
-        hier = self.node.cache_hierarchy
-        effs = hier.efficiencies(
-            [item.meta.profile for item in items], core_profiles, socket_profiles)
+        effs = node.cache_hierarchy.efficiencies(
+            [item.meta.profile for item in items], core_ws, socket_ws)
         return [share_hz * eff / 1e9 for eff in effs]
 
     def compute_rates_solo(self) -> List[float]:
         """Rates when this is the only busy CPU on its node: the sibling
         is necessarily idle (gross = base) and this CPU's residents are
-        the entire core *and* socket profile context.  Must only be called
-        with a non-empty executor.  Positionally aligned with
-        ``executor.items``, like :meth:`compute_rates`."""
+        the entire core *and* socket context.  Must only be called with a
+        non-empty executor.  Positionally aligned with ``executor.items``,
+        like :meth:`compute_rates`."""
         items = self.executor.items
         if self.node._frozen or not self.state.online:
             return [0.0] * len(items)
         node = self.node
         if len(items) == 1:
             # One segment on the node's one busy CPU — the hot state of
-            # every one-rank-per-node sweep.  sum(ws for [p]) == p.ws
-            # exactly, so the memo key (and the rate) is unchanged.
+            # every one-rank-per-node sweep.
             eff = node.cache_hierarchy.efficiency_solo(items[0].meta.profile)
             return [node.spec.base_hz * self.degradation * eff / 1e9]
         profiles = [item.meta.profile for item in items]
+        ws = sum([p.working_set_bytes for p in profiles])
         share_hz = node.spec.base_hz * self.degradation / len(items)
-        effs = node.cache_hierarchy.efficiencies(profiles, profiles, profiles)
+        effs = node.cache_hierarchy.efficiencies(profiles, ws, ws)
         return [share_hz * eff / 1e9 for eff in effs]
-
-    def _core_profiles(self) -> List[WorkloadProfile]:
-        out = list(self.profiles())
-        sib_state = self.state.sibling
-        if sib_state is not None and sib_state.online:
-            out += self.node.cpu(sib_state.index).profiles()
-        return out
-
-    def _socket_profiles(self) -> List[WorkloadProfile]:
-        out: List[WorkloadProfile] = []
-        my_socket = self.state.core.socket
-        for cpu in self.node.cpus:
-            if cpu.state.core.socket == my_socket and cpu.state.online:
-                out += cpu.profiles()
-        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<LogicalCpu {self.node.name}:cpu{self.index} tasks={self.n_tasks}>"

@@ -21,6 +21,7 @@ software is delayed.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from repro.simx.engine import Engine
@@ -36,10 +37,8 @@ from repro.machine.topology import MachineSpec, Topology
 __all__ = ["Node"]
 
 
-def _cpu_index(cpu: "LogicalCpu") -> int:
-    """Sort key for batch-flush ordering (module-level: no per-call
-    closure allocation on the batch exit path)."""
-    return cpu.index
+#: Sort key for batch-flush ordering (C-level: no Python frame per CPU).
+_cpu_index = attrgetter("state.index")
 
 
 class Node:
@@ -217,10 +216,10 @@ class Node:
     def apply_rates(self) -> None:
         """Recompute and install the rate assignment for every CPU.
 
-        The per-CPU profile lists and per-socket concatenations are built
-        once per pass (list order follows CPU index order, matching the
-        per-CPU scans they replace, so float summation order — and hence
-        every computed rate — is bit-identical).
+        Each busy CPU's working-set sum and each socket's total are taken
+        once per pass.  Working sets are ``int``, so these sums equal the
+        per-CPU list sums they replace whatever the order, and every
+        computed rate is bit-identical.
         """
         busy = self._busy
         if not busy:
@@ -228,28 +227,35 @@ class Node:
         if len(busy) == 1:
             # Only one CPU busy (the common state for one-rank-per-node
             # sweeps): its sibling is idle and it alone populates its
-            # socket's profile list — skip the context build entirely.
+            # socket — skip the context build entirely.
             cpu = busy[0]
             cpu.executor.set_rates_seq(cpu.compute_rates_solo())
             return
         busy = busy[:]  # the per-CPU installs below must see one snapshot
-        profs: Dict[int, List] = {}
+        ws: Dict[int, int] = {}
+        socket_ws: Dict[object, int] = {}
         for cpu in busy:
-            profs[cpu.index] = [item.meta.profile for item in cpu.executor.items]
-        # Idle CPUs contribute nothing to a socket's profile list, so
-        # accumulating over busy CPUs (still in index order) matches the
-        # all-online-CPUs scan this replaces element for element.
-        socket_profs: Dict[object, List] = {}
+            state = cpu.state
+            total = 0
+            for item in cpu.executor._items:
+                total += item.meta.profile.working_set_bytes
+            ws[state.index] = total
+            if state.online:
+                sock = state.core.socket
+                socket_ws[sock] = socket_ws.get(sock, 0) + total
+        cpus = self.cpus
         for cpu in busy:
-            if cpu.state.online:
-                sock = cpu.state.core.socket
-                acc = socket_profs.get(sock)
-                if acc is None:
-                    socket_profs[sock] = acc = []
-                acc += profs[cpu.index]
-        ctx = (profs, socket_profs)
-        for cpu in busy:
-            cpu.executor.set_rates_seq(cpu.compute_rates(ctx))
+            state = cpu.state
+            core_ws = ws[state.index]
+            sibling = None
+            sib_state = state.sibling
+            if sib_state is not None and sib_state.online:
+                sib_ws = ws.get(sib_state.index)
+                if sib_ws is not None:
+                    sibling = cpus[sib_state.index]
+                    core_ws += sib_ws
+            cpu.executor.set_rates_seq(cpu.compute_rates(
+                core_ws, socket_ws.get(state.core.socket, 0), sibling))
 
     def recompute(self) -> None:
         """sync + apply_rates — the one call sites use after any change."""

@@ -46,7 +46,8 @@ class WorkloadProfile:
         Aggregate two-sibling throughput relative to one busy sibling
         (see module docstring).  Must be in ``(0, 2]``.
     working_set_bytes:
-        Bytes the task actively touches; drives shared-cache pressure.
+        Bytes the task actively touches (an ``int``); drives shared-cache
+        pressure.
     base_miss_rate:
         Cache miss probability per memory reference when the working set
         fits in cache (``0..1``).
@@ -79,7 +80,12 @@ class WorkloadProfile:
             raise ValueError(f"base_miss_rate out of range: {self.base_miss_rate}")
         if not (0.0 <= self.mem_ref_fraction <= 1.0):
             raise ValueError(f"mem_ref_fraction out of range: {self.mem_ref_fraction}")
-        if self.working_set_bytes < 0:
+        ws = self.working_set_bytes
+        if not isinstance(ws, int) or isinstance(ws, bool):
+            # The rate pass sums working sets per CPU and per socket in
+            # whatever order suits it; that is exact only for integers.
+            raise ValueError(f"working_set_bytes must be an int: {ws!r}")
+        if ws < 0:
             raise ValueError("working_set_bytes must be >= 0")
         if self.miss_penalty_ops < 0 or self.hit2_penalty_ops < 0:
             raise ValueError("penalties must be >= 0")

@@ -296,17 +296,57 @@ class Scheduler:
         node.begin_rate_batch()
         try:
             node.sync()
-            for item in items:
-                item.meta.cpu.remove_segment(item)
-                item.meta.cpu = None
-            for item in items:
-                task = item.meta
-                cpu = self._pick_cpu(task)
-                cpu.add_segment(item)
-                task.cpu = cpu
+            if self._placement_is_greedy(items):
+                # Removing and re-adding every segment would rebuild this
+                # exact placement.  Its one lasting effect is that each
+                # emptied executor tombstones its timer, so the batch flush
+                # pushes a fresh one; do that and nothing else.
+                for cpu in node._busy:
+                    cpu.executor._cancel_timer()
+            else:
+                for item in items:
+                    item.meta.cpu.remove_segment(item)
+                    item.meta.cpu = None
+                for item in items:
+                    task = item.meta
+                    cpu = self._pick_cpu(task)
+                    cpu.add_segment(item)
+                    task.cpu = cpu
             node.apply_rates()
         finally:
             node.end_rate_batch()
+
+    def _placement_is_greedy(self, items: List[WorkItem]) -> bool:
+        """True if re-placing ``items`` (tid order) one by one with
+        :meth:`_pick_cpu` onto emptied CPUs would put every item on the
+        CPU and in the executor slot it occupies now.  Replays the greedy
+        pass on virtual per-CPU loads, with the same ``(load, sibling
+        busy, index)`` key and the same affinity and online filters."""
+        cpus = self.node.cpus
+        # (index, online sibling's index or None) of each online CPU.
+        online = []
+        for c in cpus:
+            state = c.state
+            if state.online:
+                sib = state.sibling
+                online.append((state.index, sib.index
+                               if sib is not None and sib.online else None))
+        load = [0] * len(cpus)
+        for item in items:
+            affinity = item.meta.affinity
+            best = -1
+            best_key = None
+            for index, sib in online:
+                if affinity is not None and index not in affinity:
+                    continue
+                key = (load[index], 1 if sib is not None and load[sib] else 0,
+                       index)
+                if best_key is None or key < best_key:
+                    best, best_key = index, key
+            if best < 0 or cpus[best].executor._index.get(item) != load[best]:
+                return False
+            load[best] += 1
+        return True
 
     # -- post-SMM wake-up perturbation ---------------------------------------
     def _on_smm_exit(self) -> None:

@@ -78,17 +78,6 @@ __all__ = ["ServeConfig", "ServeDaemon", "run"]
 log = logging.getLogger(__name__)
 
 
-def _engine_name() -> str:
-    """The rate engine workers will run (``py``/``vec``), for status
-    output; an unusable ``$REPRO_ENGINE`` is reported, not raised."""
-    from repro.simx.rate import SimulationError, current_engine
-
-    try:
-        return current_engine()
-    except SimulationError as exc:
-        return f"invalid ({exc})"
-
-
 @dataclass
 class ServeConfig:
     """Everything the daemon needs to know, CLI-shaped."""
@@ -781,7 +770,6 @@ class ServeDaemon:
                       if self.fleet is not None else None),
             "cache": {"entries": len(self.cache), "root": self.cache.root},
             "engine": {
-                "name": _engine_name(),
                 "baseline_cache": {
                     "entries": len(self.baselines),
                     "hits": self._baseline_hits,

@@ -38,13 +38,7 @@ from repro.simx.errors import (
 )
 from repro.simx.engine import Engine, Delay, Event, AllOf, AnyOf, Interrupt, Process
 from repro.simx.resources import Lock, Semaphore, Barrier, Channel, Store
-from repro.simx.rate import (
-    RateExecutor,
-    VecRateExecutor,
-    WorkItem,
-    current_engine,
-    make_rate_executor,
-)
+from repro.simx.rate import RateExecutor, WorkItem
 from repro.simx.timeline import Timeline, TraceRecord
 
 __all__ = [
@@ -61,9 +55,6 @@ __all__ = [
     "Channel",
     "Store",
     "RateExecutor",
-    "VecRateExecutor",
-    "make_rate_executor",
-    "current_engine",
     "WorkItem",
     "Timeline",
     "TraceRecord",

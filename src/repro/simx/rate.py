@@ -23,35 +23,24 @@ Invariants (property-tested in ``tests/simx/test_rate.py``):
 * *Exact completion*: an item completes exactly when its integrated rate
   reaches its demand (to within one nanosecond of timer quantization).
 
-Structure-of-arrays core and the two engines (DESIGN.md §3)
------------------------------------------------------------
+Structure-of-arrays core (DESIGN.md §3)
+---------------------------------------
 Items are stored as parallel arrays — an insertion-ordered item list
 plus a rate column — so ``sync``/``set_rates``/``_reschedule`` are
 single indexed passes over contiguous storage instead of dict
-iterations.  Two interchangeable engines share this layout:
+iterations.  There is one engine, :class:`RateExecutor`, in pure Python.
+Real executors hold one item (a rank per CPU) up to a couple of dozen
+(Convolve's 24 threads stacked on one CPU), far below the size at which
+array kernels would pay for their call overhead.
 
-* :class:`RateExecutor` — the pure-Python scalar engine
-  (``REPRO_ENGINE=py``).  No third-party dependencies.
-* :class:`VecRateExecutor` — the vector engine (``REPRO_ENGINE=vec``,
-  the default when numpy is importable).  Below
-  :data:`VecRateExecutor.VEC_MIN` resident items it runs the *same*
-  scalar kernels — the size check is a class-level threshold the scalar
-  engine parks at an unreachable sentinel, so neither engine pays any
-  dispatch overhead on the small executors real workloads live on.  At
-  or above the threshold, ``sync`` and ``_reschedule`` become numpy
-  passes over a lazily-materialized float64 mirror of the
-  remaining-work column (see :class:`VecRateExecutor`).
-
-Both engines are **byte-identical** in observable behaviour: the vector
-kernels perform the exact same IEEE-754 operations per element
-(``rate*dt``, the completion test against ``_EPS_WORK``, the ETA
-``remaining/rate + 0.999999``), accumulate ``total_work_served`` by the
-same left-to-right fold (never ``np.sum``, whose pairwise reduction
-associates differently), and complete simultaneous finishers in
-insertion order.  The golden-cell suite pins this contract.
-
-Use :func:`make_rate_executor` to construct whichever engine
-``$REPRO_ENGINE`` selects (resolved per call, so tests can flip it).
+*Uniform-rate ETA.*  When every resident item has the same rate ``r > 0``
+— a lone item, or stacked threads of one profile — the soonest
+completion is the ETA of the least remaining work: one division instead
+of one per item.  This is exact, not approximate: ``x/r + 0.999999`` and
+then ``int`` are each monotone in ``x``, an item at or below
+``_EPS_WORK`` maps to 0 (the least ETA), and the ``_ETA_CAP`` horizon
+only ever cuts off the largest ETAs, so the minimum of the per-item ETAs
+is the ETA of the minimum.  Mixed rates take the per-item loop.
 
 Rate-update coalescing (DESIGN.md §3 "Performance")
 ---------------------------------------------------
@@ -84,24 +73,13 @@ can no longer fire for an item that is already dead.
 
 from __future__ import annotations
 
-import os
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.simx.engine import Engine, Event
 from repro.simx.errors import SimulationError
 
-try:  # numpy is an optional dependency: the scalar engine never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover — exercised on numpy-free installs
-    _np = None
-
-__all__ = [
-    "WorkItem",
-    "RateExecutor",
-    "VecRateExecutor",
-    "make_rate_executor",
-    "current_engine",
-]
+__all__ = ["WorkItem", "RateExecutor"]
 
 # Completion slack: float rounding can leave a vanishing residue of work;
 # anything below this fraction of a unit counts as done.
@@ -113,31 +91,24 @@ _EPS_WORK = 1e-6
 _ETA_CAP = float(1 << 62)
 
 
-def current_engine() -> str:
-    """Resolve ``$REPRO_ENGINE`` to the engine in effect: ``"py"`` or
-    ``"vec"``.  Unset/``auto`` picks ``vec`` when numpy is importable."""
-    kind = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-    if kind == "auto":
-        return "vec" if _np is not None else "py"
-    if kind == "vec":
-        if _np is None:
-            raise SimulationError("REPRO_ENGINE=vec requires numpy")
-        return "vec"
-    if kind == "py":
-        return "py"
-    raise SimulationError(f"unknown REPRO_ENGINE {kind!r} (want py|vec|auto)")
+_remaining = attrgetter("remaining")
 
 
-def make_rate_executor(
-    engine: Engine,
-    on_complete: Callable[["WorkItem"], None],
-    on_busy_change: Optional[Callable[[bool], None]] = None,
-) -> "RateExecutor":
-    """Construct the executor class ``$REPRO_ENGINE`` selects.  The
-    environment is read per call, so a test can flip engines without
-    re-importing anything."""
-    cls = VecRateExecutor if current_engine() == "vec" else RateExecutor
-    return cls(engine, on_complete, on_busy_change)
+def _eta_ns(remaining: float, rate: float) -> Optional[int]:
+    """Whole nanoseconds until ``remaining`` work is done at ``rate > 0``
+    (``None`` past the completion horizon).  Non-decreasing in
+    ``remaining``: division by a positive rate, the constant offset and
+    ``int`` are each monotone, the zero-demand case maps to the least
+    value, and the horizon cuts off only the largest values."""
+    if remaining <= _EPS_WORK:
+        return 0  # degenerate zero-demand item: completes now
+    eta_f = remaining / rate + 0.999999
+    if eta_f >= _ETA_CAP:
+        # Vanishing rate: no practical progress — treat like a zero rate
+        # (no completion timer until rates change).
+        return None
+    eta = int(eta_f)
+    return eta if eta >= 1 else 1
 
 
 class WorkItem:
@@ -168,9 +139,7 @@ class WorkItem:
 
 
 class RateExecutor:
-    """Serves :class:`WorkItem`\\ s at externally-assigned rates (the
-    pure-Python scalar engine; see the module docstring for the engine
-    contract).
+    """Serves :class:`WorkItem`\\ s at externally-assigned rates.
 
     The owner (a :class:`repro.machine.cpu.LogicalCpu`) is responsible for
     calling :meth:`set_rates` with a full rate assignment whenever anything
@@ -190,12 +159,6 @@ class RateExecutor:
     before the associated reschedule.
     """
 
-    # Resident-set size at which sync/ETA switch to the numpy kernels.
-    # The scalar engine parks this at an unreachable sentinel so the
-    # size check below compiles down to one always-false comparison;
-    # VecRateExecutor lowers it to VEC_MIN.
-    _vec_min: int = 1 << 62
-
     __slots__ = (
         "engine",
         "on_complete",
@@ -203,8 +166,6 @@ class RateExecutor:
         "_items",
         "_index",
         "_rate",
-        "_rem_np",
-        "_rem_clean_n",
         "_last_sync",
         "_timer",
         "_timer_time",
@@ -226,13 +187,10 @@ class RateExecutor:
         # Structure-of-arrays storage: _items[i] runs at _rate[i] units/ns.
         # _index maps item -> slot; slots shift down on removal so the
         # array order always equals insertion order (the completion
-        # tie-break contract).  Remaining work lives on the items; the
-        # vector engine mirrors it into a numpy column on demand.
+        # tie-break contract).  Remaining work lives on the items.
         self._items: List[WorkItem] = []
         self._index: Dict[WorkItem, int] = {}
         self._rate: List[float] = []
-        self._rem_np = None     # float64 mirror of [it.remaining for it in items]
-        self._rem_clean_n = -1  # mirror length when valid; -1 = stale
         self._last_sync = engine.now
         self._timer: Optional[list] = None  # raw engine heap entry
         self._timer_time = 0  # absolute fire time of the live timer
@@ -268,7 +226,6 @@ class RateExecutor:
         self._index[item] = len(items)
         items.append(item)
         self._rate.append(float(rate))
-        self._rem_clean_n = -1
         if len(items) == 1 and self.on_busy_change is not None:
             self.on_busy_change(True)
         self._reschedule()
@@ -289,7 +246,6 @@ class RateExecutor:
         items = self._items
         del items[i]
         del self._rate[i]
-        self._rem_clean_n = -1
         index = self._index
         for j in range(i, len(items)):
             index[items[j]] = j
@@ -312,18 +268,10 @@ class RateExecutor:
             return
         self._last_sync = now
         items = self._items
-        n = len(items)
-        if n == 0:
+        if not items:
             return
         if self.pre_sync is not None:
             self.pre_sync(dt)
-        if n >= self._vec_min:
-            self._sync_vec(n, dt)
-            return
-        # The scalar kernel.  It leaves the vector engine's remaining
-        # mirror untouched: validity is keyed on n, and any transition
-        # back into the vector regime requires a membership change,
-        # which invalidates the mirror anyway.
         finished = None
         total = self.total_work_served
         rate_s = self._rate
@@ -422,31 +370,23 @@ class RateExecutor:
         """Nanoseconds until the earliest completion at current rates
         (``None``: nothing can complete until rates change)."""
         items = self._items
-        n = len(items)
-        if n >= self._vec_min:
-            return self._soonest_eta_vec(n)
-        soonest: Optional[int] = None
+        if not items:
+            return None
         rate_s = self._rate
-        i = 0
-        for item in items:
-            rate = rate_s[i]
-            i += 1
+        rate = rate_s[0]
+        if rate_s.count(rate) == len(rate_s):
+            # Uniform rate (a lone item, or threads of one profile stacked
+            # on one CPU): _eta_ns is monotone in the remaining work, so
+            # the least-remaining item completes first — one division.
+            if rate <= 0.0:
+                return None
+            return _eta_ns(min(map(_remaining, items)), rate)
+        soonest: Optional[int] = None
+        for item, rate in zip(items, rate_s):
             if rate <= 0.0:
                 continue
-            remaining = item.remaining
-            if remaining <= _EPS_WORK:
-                # Degenerate zero-demand item: completes now.
-                eta = 0
-            else:
-                eta_f = remaining / rate + 0.999999
-                if eta_f >= _ETA_CAP:
-                    # Vanishing rate: no practical progress — treat like a
-                    # zero rate (no completion timer until rates change).
-                    continue
-                eta = int(eta_f)
-                if eta < 1:
-                    eta = 1
-            if soonest is None or eta < soonest:
+            eta = _eta_ns(item.remaining, rate)
+            if eta is not None and (soonest is None or eta < soonest):
                 soonest = eta
         return soonest
 
@@ -519,7 +459,6 @@ class RateExecutor:
         for it, rem in zip(self._items, state["remaining"]):
             it.remaining = rem
         self._rate[:] = state["rates"]
-        self._rem_clean_n = -1  # the numpy mirror is stale either way
         self._last_sync = state["last_sync"]
         self.total_work_served = state["total_work_served"]
         self._timer_time = state["timer_time"]
@@ -552,101 +491,3 @@ class RateExecutor:
                 f"cannot re-arm completion timer in the past "
                 f"({self._timer_time} < now={self.engine._now})")
         self._timer = self.engine._post(delay, self._on_timer, (), False)
-
-    # -- vector kernels (reached only when n >= _vec_min, i.e. never on
-    # -- the scalar engine; numpy is guaranteed importable then) -----------
-    def _rem_mirror(self, n: int):
-        rem = self._rem_np
-        if self._rem_clean_n != n:
-            rem = self._rem_np = _np.array(
-                [item.remaining for item in self._items])
-            self._rem_clean_n = n
-        return rem
-
-    def _sync_vec(self, n: int, dt: int) -> None:
-        np = _np
-        rate = np.array(self._rate)
-        rem = self._rem_mirror(n)
-        active = rate > 0.0
-        served = rate * dt
-        served[~active] = 0.0
-        fin_mask = active & (served >= rem - _EPS_WORK)
-        np.copyto(served, rem, where=fin_mask)
-        rem -= served  # in place: the mirror stays valid across syncs
-        # total_work_served is a left-to-right fold in item order — the
-        # scalar contract.  np.sum's pairwise reduction associates
-        # differently and would break byte-identity; adding the 0.0 of
-        # inactive items is an exact identity, so folding the full
-        # column matches the scalar skip-if-idle loop bit for bit.
-        total = self.total_work_served
-        for served_i in served.tolist():
-            total += served_i
-        self.total_work_served = total
-        items = self._items
-        rem_list = rem.tolist()
-        i = 0
-        for item in items:
-            item.remaining = rem_list[i]
-            i += 1
-        if fin_mask.any():
-            # _complete evictions below invalidate the mirror (slots
-            # shift) via _evict_slot — ordering is already correct.
-            finished = [items[i] for i in np.nonzero(fin_mask)[0].tolist()]
-            self._finish_batch(finished)
-
-    def _soonest_eta_vec(self, n: int) -> Optional[int]:
-        np = _np
-        rate = np.array(self._rate)
-        active = rate > 0.0
-        if not active.any():
-            return None
-        rem = self._rem_mirror(n)
-        if bool((active & (rem <= _EPS_WORK)).any()):
-            return 0  # a degenerate zero-demand item completes now
-        # Same per-element arithmetic as the scalar loop; inactive slots
-        # are parked at the cap so they never win the min.
-        eta_f = np.full(n, _ETA_CAP)
-        np.divide(rem, rate, out=eta_f, where=active)
-        eta_f += 0.999999
-        best = float(eta_f.min())
-        if best >= _ETA_CAP:
-            return None
-        eta = int(best)  # floor(min) == min(floor): floor is monotone
-        return eta if eta >= 1 else 1
-
-
-class VecRateExecutor(RateExecutor):
-    """The vector engine: same observable behaviour as the scalar
-    :class:`RateExecutor`, numpy passes for ``sync``/``_reschedule`` once
-    ``len() >= VEC_MIN``.
-
-    Below the threshold it *is* the scalar engine — the kernels live in
-    the base class behind a single size comparison, so the hot
-    real-world executors (one rank per CPU, a handful of stacked
-    threads) pay zero dispatch overhead.  At or above the threshold,
-    sync and ETA passes run as numpy array operations over a
-    lazily-materialized float64 mirror of the remaining-work column:
-    the mirror is rebuilt (one bulk gather) only after membership
-    mutations invalidate it, and vector syncs update it in place, so
-    steady large-n operation pays one ``np.array(rate_list)`` per pass
-    and no gathers.  ``item.remaining`` is written back on every vector
-    sync, so external observers see exactly what the scalar engine
-    shows at the same instants.
-    """
-
-    #: Resident-set size at which the numpy kernels take over; below it,
-    #: numpy call overhead loses to the scalar loop.
-    VEC_MIN = 32
-    _vec_min = VEC_MIN
-
-    __slots__ = ()
-
-    def __init__(
-        self,
-        engine: Engine,
-        on_complete: Callable[[WorkItem], None],
-        on_busy_change: Optional[Callable[[bool], None]] = None,
-    ):
-        if _np is None:  # pragma: no cover — guarded by make_rate_executor
-            raise SimulationError("VecRateExecutor requires numpy")
-        super().__init__(engine, on_complete, on_busy_change)

@@ -30,7 +30,8 @@ with open(GOLDEN, encoding="utf-8") as fp:
 
 #: Per golden cell, a rule that matches it but cannot fire: the node
 #: index does not exist in that cell's topology (attach skips it).
-_INERT_RULE = {"bt": 99, "ft": 99, "convolve": 1}
+_INERT_RULE = {"bt": 99, "ft": 99, "convolve": 1, "convolve_cu1": 1,
+               "convolve_cu8": 1}
 
 
 @pytest.mark.parametrize("name", sorted(_CELLS))

@@ -11,8 +11,7 @@ These tests pin that claim three ways:
   float-for-float;
 
 * the golden BT/FT cells run through the forked path (interval made
-  explicit, which is what arms prefix sharing) under **both**
-  ``REPRO_ENGINE=py`` and ``REPRO_ENGINE=vec``, against the pinned
+  explicit, which is what arms prefix sharing) against the pinned
   payload bytes;
 
 * a manifest-level check — the canonical JSON of a forked cell payload
@@ -90,16 +89,12 @@ def test_fuzzed_fork_points_match_cold_replay(case):
 
 # -- golden cells through the forked path -------------------------------------
 
-@pytest.mark.parametrize("engine", ["py", "vec"])
 @pytest.mark.parametrize("name", ["bt", "ft"])
-def test_golden_cell_forked_is_byte_identical(monkeypatch, name, engine):
+def test_golden_cell_forked_is_byte_identical(name):
     """The pinned payloads, reproduced through a fork: making the
     default interval explicit arms prefix sharing without changing the
-    simulation, so the bytes must not move — under either engine."""
-    if engine == "vec":
-        pytest.importorskip("numpy", reason="vec engine needs numpy")
-    monkeypatch.setenv("REPRO_ENGINE", engine)
-    reset_global_store()  # warm prefixes are engine-specific state
+    simulation, so the bytes must not move."""
+    reset_global_store()
     cell = _CELLS[name]
     params = dict(cell["params"], interval=1000)  # the cold-path default
     payload = run_cell(cell["fn"], params, cell["seed"])

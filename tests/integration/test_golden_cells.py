@@ -1,8 +1,10 @@
 """Determinism-under-optimization gate: golden cell payloads.
 
 ``golden/cells.json`` holds the exact ``run_cell`` payloads of one BT
-cell, one FT cell, and one Convolve line, captured *before* the engine
-hot-path overhaul with fixed seeds.  Every optimization to the engine,
+cell, one FT cell, and three CacheUnfriendly Convolve lines, captured
+with fixed seeds before the optimizations they guard: 4 CPUs (before
+the engine hot-path overhaul), and 1 CPU (24 threads stacked on one
+CPU) and 8 CPUs (busy HTT siblings) before the rate-pass fast paths.  Every optimization to the engine,
 rate model, scheduler, or MPI layer must keep these byte-identical: the
 fluid model is exact, the event order is pinned by (time, seq), and the
 seeds are position-derived, so any payload drift means an optimization

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.machine.profile import WorkloadProfile
-from repro.machine.topology import R410_SPEC, WYEAST_SPEC
+from repro.machine.cache import CacheSpec
+from repro.machine.topology import R410_SPEC, WYEAST_SPEC, MachineSpec
 from repro.system import make_machine
 
 REG = WorkloadProfile(name="reg", mem_ref_fraction=0.0, base_miss_rate=0.0,
@@ -134,3 +135,66 @@ def test_placing_work_on_offline_cpu_rejected():
     item = WorkItem(m.engine, 100.0, meta=None)
     with pytest.raises(RuntimeError):
         m.node.cpu(5).add_segment(item)
+
+
+# -- integer working-set sums --------------------------------------------------
+
+TWO_SOCKET_HTT = MachineSpec(
+    name="2s-htt", sockets=2, cores_per_socket=2, threads_per_core=2,
+    base_hz=2.0e9, memory_bytes=8 << 30,
+    cache_levels=(CacheSpec("L1", 32 << 10, "core"),
+                  CacheSpec("L2", 256 << 10, "core"),
+                  CacheSpec("L3", 8 << 20, "socket")),
+)
+MIXED = [
+    WorkloadProfile(name=f"p{i}", htt_yield=1.0 + 0.07 * i,
+                    working_set_bytes=(3 << 20) + 4099 * i,
+                    base_miss_rate=0.01 * (i + 1), mem_ref_fraction=0.3)
+    for i in range(5)
+]
+
+
+def _list_sum_rates(node, cpu):
+    """The rate formula with co-resident profile lists and summed
+    working sets, as it read before the pass took integer sums."""
+    profs = cpu.profiles()
+    sib = cpu.state.sibling
+    sib_profs = node.cpu(sib.index).profiles() if sib.online else []
+    base = node.spec.base_hz * cpu.degradation
+    if sib_profs:
+        core = profs + sib_profs
+        gross = base * (sum(p.htt_yield for p in core) / len(core)) / 2.0
+    else:
+        core = list(profs)
+        gross = base
+    sock = cpu.state.core.socket
+    socket = [p for c in node.cpus
+              if c.state.online and c.state.core.socket == sock
+              for p in c.profiles()]
+    share_hz = gross / len(profs)
+    hier = node.cache_hierarchy
+    return [share_hz * hier.efficiency(p, core, socket) / 1e9 for p in profs]
+
+
+def test_integer_sum_rates_equal_list_sum_rates_bit_for_bit():
+    """Stacked CPUs, busy and idle HTT siblings, repeated profile objects
+    and two sockets: every installed rate is the list-sum rate exactly."""
+    m = make_machine(TWO_SOCKET_HTT)
+    # cpu -> profile indices; cpu i and i+4 are siblings, cores 0-1 on
+    # socket 0 and cores 2-3 on socket 1.
+    placement = {0: [0, 1, 2], 4: [3], 1: [4], 2: [1, 1], 6: [2, 0],
+                 3: [3], 7: [4, 4, 0]}
+    work = TWO_SOCKET_HTT.base_hz
+
+    def body(task):
+        yield from task.compute(work)
+
+    for cpu, idxs in placement.items():
+        for k, i in enumerate(idxs):
+            m.scheduler.spawn(body, f"c{cpu}.{k}", MIXED[i], affinity={cpu})
+    m.engine.run(until_ns=1_000)
+    node = m.node
+    assert len(node._busy) == len(placement)
+    for cpu in node._busy:
+        got = [cpu.executor.rate_of(it) for it in cpu.executor.items]
+        assert got == _list_sum_rates(node, cpu)

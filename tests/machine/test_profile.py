@@ -34,6 +34,13 @@ def test_validation_rejects_bad_fields(kw):
         WorkloadProfile(name="bad", **kw)
 
 
+@pytest.mark.parametrize("ws", [1024.0, 1.5, True, "1024", None])
+def test_working_set_must_be_an_int(ws):
+    """The rate pass sums working sets in any order: exact only for int."""
+    with pytest.raises(ValueError, match="working_set_bytes"):
+        WorkloadProfile(name="bad", working_set_bytes=ws)
+
+
 def test_pure_register_workload_costs_exactly_one():
     p = WorkloadProfile(name="reg", mem_ref_fraction=0.0, base_miss_rate=0.0)
     assert p.cost_per_op() == 1.0

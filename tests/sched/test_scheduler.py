@@ -165,3 +165,84 @@ def test_deterministic_given_seed():
 
     assert run(11) == run(11)
     assert run(11) != run(12)  # different SMI phase ⇒ different trace
+
+
+# -- the no-op rebalance skip ------------------------------------------------
+
+def _resident_items(m):
+    items = [it for cpu in m.node.cpus for it in cpu.executor.items]
+    return sorted(items, key=lambda it: it.meta.tid)
+
+
+def _rate_state(m):
+    """Per-CPU resident order, rates and completion timer, plus the
+    engine's sequence counter."""
+    cpus = []
+    for cpu in m.node.cpus:
+        ex = cpu.executor
+        armed = ex._timer is not None and not ex._timer[5]
+        cpus.append(([it.meta.name for it in ex.items], list(ex._rate),
+                     armed, ex._timer_time if armed else None))
+    return cpus, m.engine._seq
+
+
+@pytest.mark.parametrize("cpus, n", [(1, 6), (2, 5), (8, 11)])
+def test_noop_rebalance_matches_forced_full_path(cpus, n):
+    """A rebalance that would rebuild the current placement skips the
+    remove/re-add, yet leaves item order, rates, timers and the engine's
+    sequence counter exactly where the full path leaves them."""
+    from repro.core.smi import SmiProfile, SmiSource
+
+    runs = []
+    for force_full in (False, True):
+        m = make_machine(R410_SPEC, seed=3)
+        m.sysfs.set_logical_cpus(cpus)
+        SmiSource(m.node, SmiProfile.LONG, 50, seed=5)
+        tasks = spawn_spinners(m, n, seconds=0.05)
+        m.engine.run(until_ns=3_000_000)
+        sched = m.scheduler
+        assert sched._placement_is_greedy(_resident_items(m))
+        if force_full:
+            sched._placement_is_greedy = lambda items: False
+        sched.rebalance()
+        state = _rate_state(m)
+        m.engine.run()
+        runs.append((state, [t.finished_ns for t in tasks], m.engine._seq))
+    assert runs[0] == runs[1]
+
+
+def test_noop_check_honours_affinity():
+    """A pinned task sits where the greedy pass must put it, so the
+    placement is a no-op even though an unpinned task would move."""
+    m = make_machine(R410_SPEC)
+    m.sysfs.set_logical_cpus(2)
+    work = R410_SPEC.base_hz * 0.01
+
+    def body(task):
+        yield from task.compute(work)
+
+    a = m.scheduler.spawn(body, "a", REG, affinity={1})
+    b = m.scheduler.spawn(body, "b", REG)
+    m.engine.run(until_ns=1_000_000)
+    assert (a.cpu.index, b.cpu.index) == (1, 0)
+    assert m.scheduler._placement_is_greedy(_resident_items(m))
+
+
+def test_changed_placement_takes_full_path():
+    m = make_machine(R410_SPEC)
+    m.sysfs.set_logical_cpus(2)
+    tasks = spawn_spinners(m, 4)
+    m.engine.run(until_ns=1_000_000)
+    assert [cpu.n_tasks for cpu in m.node.cpus[:2]] == [2, 2]
+    # Stack a third task on cpu0 by hand: loads 3/1 are not greedy.
+    moved = next(t for t in tasks if t.cpu.index == 1)
+    node, target = m.node, m.node.cpu(0)
+    node.sync()
+    moved.cpu.remove_segment(moved.current_item)
+    target.add_segment(moved.current_item)
+    moved.cpu = target
+    node.apply_rates()
+    assert not m.scheduler._placement_is_greedy(_resident_items(m))
+    m.scheduler.rebalance()
+    assert [cpu.n_tasks for cpu in m.node.cpus[:2]] == [2, 2]
+    assert m.scheduler._placement_is_greedy(_resident_items(m))

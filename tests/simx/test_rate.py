@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simx import Engine
-from repro.simx.rate import RateExecutor, WorkItem
+from repro.simx.rate import _EPS_WORK, _ETA_CAP, RateExecutor, WorkItem
 from repro.simx.errors import SimulationError
 
 
@@ -361,3 +361,73 @@ def test_flush_without_mutation_is_a_no_op():
     assert ex._timer is timer
     eng.run()
     assert item.finished_at == 100
+
+
+# -- uniform-rate ETA fast path ----------------------------------------------
+
+def _eta_per_item(remaining, rates):
+    """The per-item soonest-ETA loop, written out as the reference."""
+    soonest = None
+    for rem, rate in zip(remaining, rates):
+        if rate <= 0.0:
+            continue
+        if rem <= _EPS_WORK:
+            eta = 0
+        else:
+            eta_f = rem / rate + 0.999999
+            if eta_f >= _ETA_CAP:
+                continue
+            eta = max(1, int(eta_f))
+        if soonest is None or eta < soonest:
+            soonest = eta
+    return soonest
+
+
+def _soonest(remaining, rates):
+    eng, ex, _ = make()
+    for rem in remaining:
+        ex.add(WorkItem(eng, demand=rem))
+    ex.set_rates_seq(rates)
+    return ex._soonest_eta()
+
+
+_remainings = st.lists(
+    st.one_of(
+        st.floats(min_value=0.0, max_value=_EPS_WORK),  # done but not evicted
+        st.floats(min_value=_EPS_WORK, max_value=1e15),
+    ),
+    min_size=1, max_size=24,
+)
+_rates = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-300, max_value=1e-280),  # vanishing: past the cap
+    st.floats(min_value=1e-12, max_value=1e-9),     # straddles the cap
+    st.floats(min_value=1e-6, max_value=10.0),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(remaining=_remainings, rate=_rates)
+def test_uniform_rate_eta_equals_per_item_loop(remaining, rate):
+    rates = [rate] * len(remaining)
+    assert _soonest(remaining, rates) == _eta_per_item(remaining, rates)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), remaining=_remainings)
+def test_mixed_rate_eta_equals_per_item_loop(data, remaining):
+    rates = data.draw(st.lists(_rates, min_size=len(remaining),
+                               max_size=len(remaining)))
+    assert _soonest(remaining, rates) == _eta_per_item(remaining, rates)
+
+
+@pytest.mark.parametrize("remaining, rate, want", [
+    ([4e6, 5e6], 1e-12, 4e18),      # only the larger item is past the cap
+    ([5e6, 6e6], 1e-12, None),      # every item past the cap
+    ([5e6, 1e-7], 1e-300, 0),       # a finished item beats the cap
+    ([0.4, 3.0], 1.0, 1),           # sub-ns ETA rounds up to 1 ns
+])
+def test_uniform_rate_eta_edge_cases(remaining, rate, want):
+    got = _soonest(remaining, [rate] * len(remaining))
+    assert got == _eta_per_item(remaining, [rate] * len(remaining))
+    assert got == (want if want is None else int(want))
