@@ -30,20 +30,6 @@ Benches
 ``figure1_line``
     One Figure-1 left-panel line: Convolve cache-unfriendly on 8 CPUs,
     baseline + two SMI intervals.
-``fork_sweep``
-    One interval sweep through the warmup-prefix fork path
-    (:mod:`repro.runx.forkshare`): NPB FT class A on 4 nodes × 4 ranks
-    under the long-SMI profile, swept across four trigger intervals.
-    With ``REPRO_SNAPSHOT=off`` every interval replays cold — that is
-    how the committed baseline entry was recorded — so the speedup
-    ratio *is* the fork path's payoff (the PR-9 gate: ≥ 1.5×).  The
-    warm-prefix store is reset per rep, so each timed rep pays its own
-    prefix warm plus one fork per remaining interval.
-
-The emitted document also carries a ``"snapshot"`` header —
-``{"mode", "forks", "hits", "misses"}`` from the warm-prefix store —
-so a results file records whether (and how much) the fork path was in
-play for the numbers it holds.
 
 The cell benches report ``events`` too (engine heap pushes), measured by
 one extra *untimed* run with a metrics registry attached — the timed
@@ -178,36 +164,6 @@ def figure1_line(quick: bool, metrics=None) -> int:
     return 0
 
 
-#: Warm-prefix store accounting accumulated across ``fork_sweep`` reps,
-#: surfaced in the output document's ``"snapshot"`` header.
-FORK_STATS = {"forks": 0, "hits": 0, "misses": 0}
-
-FORK_SWEEP_INTERVALS = [2000, 2200, 2400, 2600]  # jiffies (10ms ticks)
-
-
-def fork_sweep(quick: bool) -> int:
-    """One interval sweep of FT.A 4×4 smm=2 through the cell executor.
-
-    Under ``REPRO_SNAPSHOT=auto`` the first interval warms a prefix per
-    repetition seed and every later interval forks it; under ``off``
-    each interval replays cold.  The store is reset up front so every
-    timed rep measures warm-cost-plus-forks, not a free ride on the
-    previous rep's prefixes.  Returns the fork count (0 when cold)."""
-    from repro.runx.cells import run_cell
-    from repro.runx.forkshare import global_store, reset_global_store
-
-    reset_global_store()
-    intervals = FORK_SWEEP_INTERVALS[:2] if quick else FORK_SWEEP_INTERVALS
-    params = {"bench": "FT", "cls": "A", "nodes": 4, "rpn": 4,
-              "smm": 2, "reps": 2}
-    for iv in intervals:
-        run_cell("nas", dict(params, interval=iv), 1)
-    stats = global_store().stats()
-    for k in FORK_STATS:
-        FORK_STATS[k] += stats.get(k, 0)
-    return 0
-
-
 def _scheduled_events(fn: Callable[..., int]) -> int:
     """Engine heap pushes of one deterministic cell run, via one extra
     instrumented (and untimed) execution."""
@@ -272,7 +228,6 @@ def main(argv=None) -> int:
             lambda: figure1_line(args.quick),
             lambda: _scheduled_events(
                 lambda metrics=None: figure1_line(args.quick, metrics))),
-        "fork_sweep": (lambda: fork_sweep(args.quick), None),
     }
     if args.only:
         unknown = set(args.only) - set(benches)
@@ -293,14 +248,12 @@ def main(argv=None) -> int:
         numpy_version: Optional[str] = numpy.__version__
     except ImportError:
         numpy_version = None
-    from repro.runx.forkshare import snapshot_mode
     doc = {
         "benches": results,
         "reps": reps,
         "quick": bool(args.quick),
         "python": platform.python_version(),
         "numpy": numpy_version,
-        "snapshot": {"mode": snapshot_mode(), **FORK_STATS},
     }
     if args.baseline and os.path.exists(args.baseline):
         with open(args.baseline, encoding="utf-8") as fp:

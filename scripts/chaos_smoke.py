@@ -6,9 +6,8 @@ subprocesses:
 
 1. transient faults: a chaos plan kills one cell's first attempt and
    flakes another; with --retries 2 the sweep must still exit 0 with
-   every cell ok and the retries recorded (retried cells re-run on
-   derived per-attempt seeds, so their values may legitimately differ
-   from the clean run).
+   every cell ok, the retries recorded, and the table byte-identical to
+   the clean run (a retry reuses the cell's own seed).
 2. kill -9 mid-sweep, then --resume: the journal must survive, the
    resumed run must exit 0, and the final table must be byte-identical.
 3. unrecoverable fault: with no retries a killed cell degrades to "-"
@@ -198,6 +197,7 @@ def main(argv):
     retried = [c for c in doc["cells"] if c.get("attempts", 1) > 1]
     assert len(retried) == 4, f"expected 4 retried cells, got {len(retried)}"
     assert all(c["status"] == "ok" for c in doc["cells"])
+    assert r.stdout == clean.stdout, "retried cells drifted from clean run"
 
     print("== drill 2: SIGKILL mid-sweep, then --resume ==")
     man2 = os.path.join(work, "killed.json")
@@ -236,7 +236,8 @@ def main(argv):
     failed = [c for c in doc["cells"] if c["status"] == "failed"]
     assert len(failed) == 3, f"expected 3 failed cells, got {len(failed)}"
 
-    print("ok: retries recovered 4 faulted cells, resume was byte-identical,"
+    print("ok: retries recovered 4 faulted cells byte-identically, resume "
+          "was byte-identical,"
           " degradation exited 1 with the table rendered")
     return 0
 

@@ -5,7 +5,7 @@ Compares a fresh ``BENCH_perf.json`` (from ``scripts/bench_perf.py``)
 against the committed baseline
 (``benchmarks/results/BENCH_perf_baseline.json``) and exits nonzero if
 any gated bench's wall clock regressed more than the allowed fraction.
-Three kinds of gate:
+Two kinds of gate:
 
 * **Churn benches** (``engine_churn``, ``rate_churn``; default budget
   20%) — deterministic, allocation-light, dominated by the interpreter,
@@ -17,14 +17,6 @@ Three kinds of gate:
   allocator pressure, real heap churn), hence the looser tolerance;
   their *correctness* is already pinned by the golden-cell identity
   tests, this gate only catches a hot-path collapse.
-
-* **Speedup floors** (``--min-speedup``, default ``fork_sweep=1.5``) —
-  benches whose whole point is to beat the baseline: the committed
-  ``fork_sweep`` baseline entry was recorded with ``REPRO_SNAPSHOT=off``
-  (every interval cold), so the current run must clear the floor for
-  the warmup-prefix fork path to be pulling its weight.  A floor is
-  skipped with a note when either side lacks the bench (pre-fork
-  baselines stay usable).
 
 The two documents must be comparable: same ``quick`` flag (quick mode
 scales the workloads down 10×) — mismatches are an error, not a pass.
@@ -48,15 +40,6 @@ DEFAULT_BASELINE = os.path.join(
     "benchmarks", "results", "BENCH_perf_baseline.json")
 DEFAULT_GATED = ("engine_churn", "rate_churn")
 DEFAULT_CELL_GATED = ("bt_cell", "ft_cell")
-DEFAULT_MIN_SPEEDUP = ("fork_sweep=1.5",)
-
-
-def _parse_floors(entries) -> dict:
-    floors = {}
-    for e in entries:
-        name, _, ratio = e.partition("=")
-        floors[name.strip()] = float(ratio) if ratio else 1.0
-    return floors
 
 
 def main(argv=None) -> int:
@@ -82,11 +65,6 @@ def main(argv=None) -> int:
                     help="gate this cell bench at the looser tolerance "
                          "(repeatable; default "
                          f"{', '.join(DEFAULT_CELL_GATED)})")
-    ap.add_argument("--min-speedup", action="append", default=None,
-                    metavar="NAME=RATIO",
-                    help="require current to be RATIO× faster than the "
-                         "baseline for NAME (repeatable; default "
-                         f"{', '.join(DEFAULT_MIN_SPEEDUP)})")
     args = ap.parse_args(argv)
 
     try:
@@ -128,23 +106,6 @@ def main(argv=None) -> int:
         print(f"check_perf: {name:<14} {b['wall_s']:.4f}s -> "
               f"{c['wall_s']:.4f}s  ({ratio:.3f}x baseline, "
               f"budget {100 * budget:.0f}%)  {verdict}")
-
-    floors = _parse_floors(args.min_speedup or list(DEFAULT_MIN_SPEEDUP))
-    for name, floor in sorted(floors.items()):
-        c = cur.get("benches", {}).get(name)
-        b = base.get("benches", {}).get(name)
-        if not c or not c.get("wall_s") or not b or not b.get("wall_s"):
-            print(f"check_perf: {name:<14} speedup floor {floor:.2f}x "
-                  "skipped (bench absent on one side)")
-            continue
-        speedup = b["wall_s"] / c["wall_s"]
-        verdict = "OK"
-        if speedup < floor:
-            verdict = "BELOW FLOOR"
-            failures.append(name)
-        print(f"check_perf: {name:<14} {b['wall_s']:.4f}s -> "
-              f"{c['wall_s']:.4f}s  ({speedup:.2f}x speedup, "
-              f"floor {floor:.2f}x)  {verdict}")
 
     if failures:
         print(f"check_perf: FAIL — {', '.join(failures)} outside budget "

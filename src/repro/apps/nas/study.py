@@ -22,22 +22,10 @@ from repro.apps.nas.params import (
     NasClass,
 )
 from repro.core.smi import SmiProfile
-from repro.mpi.cluster import (
-    Cluster,
-    ClusterSpec,
-    collect_mpi_job,
-    launch_mpi_job,
-    run_mpi_job,
-)
+from repro.mpi.cluster import Cluster, ClusterSpec, run_mpi_job
 from repro.mpi.network import NetworkSpec
 
-__all__ = [
-    "NasConfig",
-    "run_nas_config",
-    "launch_nas_config",
-    "finish_nas_run",
-    "DEFAULT_PHASE_SPREAD_NS",
-]
+__all__ = ["NasConfig", "run_nas_config", "DEFAULT_PHASE_SPREAD_NS"]
 
 #: Driver-rollout phase stagger across nodes (see Cluster.enable_smi and
 #: DESIGN.md §6) — exported so run manifests can record it.
@@ -81,64 +69,6 @@ def nas_config_feasible(cfg: NasConfig) -> bool:
     if cfg.bench == "FT" and not ft_feasible(cfg.cls, cfg.nranks, cfg.ranks_per_node):
         return False
     return True
-
-
-def launch_nas_config(
-    cfg: NasConfig,
-    smm: int = 0,
-    seed: int = 1,
-    interval_jiffies: int = 1000,
-    network: Optional[NetworkSpec] = None,
-    phase_spread_ns: Optional[int] = DEFAULT_PHASE_SPREAD_NS,
-):
-    """The launch half of :func:`run_nas_config`'s clean path: build the
-    cluster, arm the SMI sources, start every rank — and return
-    ``(cluster, job)`` *without* running the engine.
-
-    This is the prefix-fork seam (:mod:`repro.runx.forkshare`): the
-    planner runs the engine to a safe fork point between launch and
-    :func:`finish_nas_run`, forks, retargets the SMI interval in each
-    child, and collects.  The call sequence here mirrors
-    :func:`run_nas_config`'s clean path operation for operation, so
-    ``finish_nas_run(*launch_nas_config(...))`` is byte-identical to
-    ``run_nas_config(...)`` with the same arguments (pinned by the
-    fork-identity tests).  Returns ``None`` for infeasible configs.
-    """
-    if not nas_config_feasible(cfg):
-        return None
-    make_app, profile = _APPS[cfg.bench]
-    app = make_app(cfg.cls)
-    spec = ClusterSpec(
-        n_nodes=cfg.nodes,
-        network=network if network is not None else NetworkSpec(),
-        htt=cfg.htt,
-    )
-    cluster = Cluster(spec, seed=seed)
-    cluster.enable_smi(
-        SmiProfile.by_index(smm),
-        interval_jiffies=interval_jiffies,
-        seed=seed,
-        phase_spread_ns=phase_spread_ns,
-    )
-    job = launch_mpi_job(
-        cluster,
-        app,
-        nranks=cfg.nranks,
-        ranks_per_node=cfg.ranks_per_node,
-        profile=profile,
-        name=cfg.label,
-    )
-    return cluster, job
-
-
-def finish_nas_run(cluster: Cluster, job) -> Optional[float]:
-    """The collect half of the clean path: run to completion, verify every
-    rank, and return the benchmark's reported time (max over ranks)."""
-    result = collect_mpi_job(job)
-    for r in result.rank_results:
-        if not r.get("verified", False):
-            raise AssertionError(f"verification failed for {job.name}: {r}")
-    return result.elapsed_s
 
 
 def run_nas_config(

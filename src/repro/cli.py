@@ -941,12 +941,6 @@ def _serve_status(args: argparse.Namespace) -> int:
         print(f"engine: baseline cache {bl.get('entries', 0)} entries "
               f"({bl.get('hits', 0)} hits, {bl.get('misses', 0)} misses, "
               f"{bl.get('evictions', 0)} evictions)")
-        sc = engine.get("snapshot_cache", {})
-        if sc:
-            print(f"        snapshot cache: {sc.get('hits', 0)} hits, "
-                  f"{sc.get('misses', 0)} misses, "
-                  f"{sc.get('evictions', 0)} evictions, "
-                  f"{sc.get('forks', 0)} forks")
     for w in workers:
         print(f"  worker {w['slot']}: pid {w.get('pid')} {w['state']}"
               + (f" job {w['job']}" if w.get("job") else "")

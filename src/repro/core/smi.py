@@ -110,11 +110,6 @@ class SmiSource:
         self.swallowed_ticks = 0
         self._stopped = False
         self.proc = None
-        #: Absolute engine time of the next trigger tick.  An attribute
-        #: (not a generator local) so the prefix-fork planner can
-        #: retarget the interval of a warmed source in place
-        #: (:meth:`retarget_interval`).
-        self._t_next: Optional[int] = None
         m = node.metrics
         if m is not None:
             self._m_triggered = m.counter("smi.triggered", "SMIs asserted")
@@ -142,9 +137,9 @@ class SmiSource:
 
     def _run(self) -> Generator:
         engine = self.node.engine
-        self._t_next = engine.now + self.phase_ns
+        t_next = engine.now + self.phase_ns
         while not self._stopped:
-            gap = self._t_next - engine.now
+            gap = t_next - engine.now
             if gap > 0:
                 yield Delay(gap)
             if self._stopped:
@@ -156,71 +151,14 @@ class SmiSource:
                 if self._m_swallowed is not None:
                     self._m_swallowed.value += 1
                 yield self.node.smm.wait_exit()
-                self._t_next = engine.now + self.interval_ns
+                t_next = engine.now + self.interval_ns
                 continue
             duration = self.durations.sample(self.rng)
             self.node.smm.trigger(duration, source="smi-driver")
             self.triggered += 1
             if self._m_triggered is not None:
                 self._m_triggered.value += 1
-            self._t_next += self.interval_ns
-
-    # -- prefix-fork retargeting (DESIGN.md §11) ----------------------------
-    def retarget_interval(self, interval_jiffies: int) -> bool:
-        """Change this warmed source's interval in place, as if it had been
-        constructed with ``interval_jiffies`` from the start.
-
-        Valid exactly when the histories coincide: the phase draw is
-        interval-independent (the cluster passes ``phase_ns`` in), the
-        per-SMI duration stream depends only on trigger *count*, and the
-        interval first enters the schedule when the tick after the first
-        trigger is armed.  So retargeting is exact iff no tick was
-        swallowed and at most one trigger has fired, and — when one has —
-        the new interval is no shorter than the old one (the pending tick
-        can be pushed later, never into the past).  Returns ``False``
-        (and changes nothing) when those conditions do not hold.
-
-        When the pending-tick entry's fire time is shifted, the caller
-        must :meth:`~repro.simx.engine.Engine.reheapify` once after
-        retargeting every source, before resuming the engine.
-        """
-        new_ns = int(interval_jiffies) * JIFFY_NS
-        if self.durations is None or self.proc is None:
-            return True  # SMM 0: no schedule to retarget
-        if new_ns == self.interval_ns:
-            return True
-        if self.swallowed_ticks > 0 or self.triggered > 1 or self._stopped:
-            return False
-        if self.triggered == 1:
-            delta = new_ns - self.interval_ns
-            if delta < 0:
-                return False
-            entry = self.proc._pending_handle
-            if type(entry) is not list or entry[5]:
-                return False  # not parked on the next-tick delay
-            entry[0] += delta
-            self._t_next += delta
-        self.interval_ns = new_ns
-        return True
-
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        return {
-            "interval_ns": self.interval_ns,
-            "triggered": self.triggered,
-            "swallowed_ticks": self.swallowed_ticks,
-            "stopped": self._stopped,
-            "t_next": self._t_next,
-            "rng_state": self.rng.getstate(),
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self.interval_ns = state["interval_ns"]
-        self.triggered = state["triggered"]
-        self.swallowed_ticks = state["swallowed_ticks"]
-        self._stopped = state["stopped"]
-        self._t_next = state["t_next"]
-        self.rng.setstate(state["rng_state"])
+            t_next += self.interval_ns
 
     # -- analysis helpers ---------------------------------------------------
     @property

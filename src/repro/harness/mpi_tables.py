@@ -28,7 +28,6 @@ __all__ = [
     "build_table",
     "render",
     "table_cell_specs",
-    "interval_sweep_specs",
     "assemble_table",
 ]
 
@@ -122,46 +121,6 @@ def table_cell_specs(bench: str, quick: bool, reps: int, seed: int) -> List:
                             "rpn": rpn, "smm": smm, "reps": reps},
                     base_seed=smm_cell_seed(seed, smm),
                 ))
-    return specs
-
-
-def interval_sweep_specs(
-    bench: str,
-    cls: NasClass,
-    nodes: int,
-    rpn: int,
-    smm: int,
-    intervals: List[int],
-    reps: int,
-    seed: int,
-    htt: bool = False,
-) -> List:
-    """One configuration swept across SMI trigger intervals (the §IV.B/C
-    protocol applied to the MPI study): one spec per interval, all sharing
-    the cell seed so every interval perturbs the *same* underlying runs.
-
-    That shared seed is what the warmup-prefix planner keys on
-    (:mod:`repro.runx.forkshare`): cells here differ only in
-    ``params["interval"]``, so a sweep runs one warm prefix per
-    repetition and forks per interval.  Sort order is ascending interval
-    — the smallest interval warms the prefix every later cell forks from
-    (a larger first interval would strand smaller ones on the cold path).
-    """
-    from repro.runx.spec import CellSpec
-
-    specs: List[CellSpec] = []
-    for iv in sorted(set(int(i) for i in intervals)):
-        params = {"bench": bench, "cls": cls.value, "nodes": nodes,
-                  "rpn": rpn, "smm": smm, "reps": reps, "interval": iv}
-        if htt:
-            params["htt"] = True
-        specs.append(CellSpec(
-            id=(f"{bench}.{cls.value} n={nodes} rpn={rpn} smm={smm} "
-                f"iv={iv}"),
-            fn="nas",
-            params=params,
-            base_seed=smm_cell_seed(seed, smm, htt),
-        ))
     return specs
 
 

@@ -89,16 +89,3 @@ class Clock:
     def seconds(self) -> float:
         """Monotonic time as float seconds (convenience for reports)."""
         return self.monotonic_ns() / 1e9
-
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        return {
-            "skew_ppm": self._skew_ppm,
-            "skew_base_ns": self._skew_base_ns,
-            "skew_accum_ns": self._skew_accum_ns,
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self._skew_ppm = state["skew_ppm"]
-        self._skew_base_ns = state["skew_base_ns"]
-        self._skew_accum_ns = state["skew_accum_ns"]

@@ -367,28 +367,6 @@ class Node:
         else:
             self.engine._post(0, fn, (), False)
 
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        """Freeze/fault flags, the deferred-wakeup queue (by reference —
-        the queued callables are closures over live processes), and the
-        busy-CPU set.  Executor columns are captured by the per-CPU
-        executors' own ``__snapshot__``."""
-        return {
-            "frozen": self._frozen,
-            "failed": self._failed,
-            "hung": self._hung,
-            "busy": [c.index for c in self._busy],
-            "n_deferred": len(self._deferred),
-            "_deferred": list(self._deferred),
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self._frozen = state["frozen"]
-        self._failed = state["failed"]
-        self._hung = state["hung"]
-        self._busy[:] = [self.cpus[i] for i in state["busy"]]
-        self._deferred[:] = state["_deferred"]
-
     # -- hotplug ----------------------------------------------------------
     def _on_hotplug(self, cpu_state) -> None:
         cpu = self.cpus[cpu_state.index]

@@ -160,30 +160,3 @@ class SmmController:
         # The latched SMI may race with a fresh trigger; trigger() handles
         # the already-in-SMM case by re-latching.
         self.trigger(duration_ns, source="latched")
-
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        st = self.stats
-        return {
-            "in_smm": self.in_smm,
-            "pending_ns": self._pending_ns,
-            "enter_tsc": self._enter_tsc,
-            "entries": st.entries,
-            "total_ns": st.total_ns,
-            "latched": st.latched,
-            "n_durations": len(st.durations_ns),
-            "n_measured": len(st.measured_latency_ns),
-            "_exit_waiters": list(self._exit_waiters),
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self.in_smm = state["in_smm"]
-        self._pending_ns = state["pending_ns"]
-        self._enter_tsc = state["enter_tsc"]
-        st = self.stats
-        st.entries = state["entries"]
-        st.total_ns = state["total_ns"]
-        st.latched = state["latched"]
-        del st.durations_ns[state["n_durations"]:]
-        del st.measured_latency_ns[state["n_measured"]:]
-        self._exit_waiters[:] = state["_exit_waiters"]

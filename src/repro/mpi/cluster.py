@@ -27,15 +27,7 @@ from repro.mpi.network import Network, NetworkSpec
 from repro.core.smi import SmiDurations, SmiSource
 from repro.system import make_node
 
-__all__ = [
-    "ClusterSpec",
-    "Cluster",
-    "JobResult",
-    "PendingJob",
-    "launch_mpi_job",
-    "collect_mpi_job",
-    "run_mpi_job",
-]
+__all__ = ["ClusterSpec", "Cluster", "JobResult", "run_mpi_job"]
 
 
 @dataclass(frozen=True)
@@ -144,109 +136,6 @@ class JobResult:
     stats: Dict[str, float] = field(default_factory=dict)
 
 
-@dataclass
-class PendingJob:
-    """A launched-but-not-collected clean-path MPI job: the state
-    :func:`collect_mpi_job` needs to drive the engine to completion and
-    assemble the :class:`JobResult`.  The launch/collect split is what
-    lets the prefix-fork planner (:mod:`repro.runx.forkshare`) run the
-    engine to a safe fork point *between* the two halves."""
-
-    cluster: Cluster
-    comm: Communicator
-    tasks: List[object]
-    done: object  # the job-complete Event
-    t_launch: int
-    nranks: int
-    ranks_per_node: int
-    name: str
-    limit_s: float
-
-
-def launch_mpi_job(
-    cluster: Cluster,
-    app: Callable[[Rank], object],
-    nranks: int,
-    ranks_per_node: int = 1,
-    profile: Optional[WorkloadProfile] = None,
-    name: str = "job",
-    limit_s: float = 50_000.0,
-) -> PendingJob:
-    """The clean-path first half of :func:`run_mpi_job`: create the rank
-    tasks and communicator, start every rank, and return without running
-    the engine.  Clean path only — fault-armed clusters must go through
-    :func:`run_mpi_job`."""
-    from repro.machine.profile import COMPUTE_BOUND
-
-    if cluster.faults is not None:
-        raise ValueError("launch_mpi_job is the clean path; use run_mpi_job "
-                         "for fault-armed clusters")
-    if profile is None:
-        profile = COMPUTE_BOUND
-    needed_nodes = (nranks + ranks_per_node - 1) // ranks_per_node
-    if needed_nodes > len(cluster.nodes):
-        raise ValueError(
-            f"{nranks} ranks at {ranks_per_node}/node need {needed_nodes} nodes; "
-            f"cluster has {len(cluster.nodes)}"
-        )
-    engine = cluster.engine
-    t_launch = engine.now
-    tasks = []
-    for r in range(nranks):
-        node = cluster.nodes[r // ranks_per_node]
-        tasks.append(node.scheduler.create_task(f"{name}.r{r}", profile))
-    comm = Communicator(cluster, tasks)
-    done = engine.event(name=f"{name}.done")
-    remaining = {"n": nranks}
-
-    def on_rank_done(_ev) -> None:
-        remaining["n"] -= 1
-        if remaining["n"] == 0 and not done.triggered:
-            done.succeed()
-
-    for r, task in enumerate(tasks):
-        node = cluster.nodes[r // ranks_per_node]
-        node.scheduler.start(task, app(comm.ranks[r]))
-        task.proc.done_event.add_callback(on_rank_done)
-
-    return PendingJob(
-        cluster=cluster, comm=comm, tasks=tasks, done=done,
-        t_launch=t_launch, nranks=nranks, ranks_per_node=ranks_per_node,
-        name=name, limit_s=limit_s,
-    )
-
-
-def collect_mpi_job(job: PendingJob) -> JobResult:
-    """The second half of the clean path: run the engine until every rank
-    exits and assemble the :class:`JobResult`."""
-    cluster = job.cluster
-    engine = cluster.engine
-    engine.run_until(job.done, limit_ns=int(job.limit_s * 1e9))
-    if not job.done.triggered:
-        raise RuntimeError(
-            f"MPI job {job.name!r} did not finish within {job.limit_s} "
-            "simulated seconds"
-        )
-    results = [t.proc.result for t in job.tasks]
-    elapsed = None
-    if results and all(isinstance(v, (int, float)) for v in results):
-        elapsed = max(float(v) for v in results)
-    elif results and all(isinstance(v, dict) and "elapsed_s" in v for v in results):
-        elapsed = max(float(v["elapsed_s"]) for v in results)
-    return JobResult(
-        nranks=job.nranks,
-        ranks_per_node=job.ranks_per_node,
-        rank_results=results,
-        wall_s=(engine.now - job.t_launch) / 1e9,
-        elapsed_s=elapsed,
-        stats={
-            "messages": cluster.network.messages,
-            "bytes": cluster.network.bytes_moved,
-            "smm_time_s": cluster.total_smm_time_s(),
-        },
-    )
-
-
 def run_mpi_job(
     cluster: Cluster,
     app: Callable[[Rank], object],
@@ -267,21 +156,12 @@ def run_mpi_job(
     communicator's detector, and an abnormal end raises
     :class:`repro.mpi.errors.JobAbortedError` instead of hanging or
     silently dropping dead ranks.  Without an injector this function is
-    unchanged from the clean path (which is exactly
-    :func:`launch_mpi_job` followed by :func:`collect_mpi_job`).
+    unchanged from the clean path.
     """
     from repro.machine.profile import COMPUTE_BOUND
 
     if profile is None:
         profile = COMPUTE_BOUND
-    faults = cluster.faults
-
-    if faults is None:
-        return collect_mpi_job(launch_mpi_job(
-            cluster, app, nranks, ranks_per_node=ranks_per_node,
-            profile=profile, name=name, limit_s=limit_s,
-        ))
-
     needed_nodes = (nranks + ranks_per_node - 1) // ranks_per_node
     if needed_nodes > len(cluster.nodes):
         raise ValueError(
@@ -297,68 +177,85 @@ def run_mpi_job(
     comm = Communicator(cluster, tasks)
     done = engine.event(name=f"{name}.done")
     remaining = {"n": nranks}
+    faults = cluster.faults
 
-    from repro.mpi.errors import JobAbortedError
-
-    if mpi_timeout_s is None:
-        mpi_timeout_s = faults.mpi_timeout_s
-    if mpi_timeout_s is not None:
-        comm.timeout_ns = int(mpi_timeout_s * 1e9)
-    failed: Dict[int, BaseException] = {}
-
-    def check_done() -> None:
-        # The job is over when every rank either finished or can never
-        # finish: a rank whose node is dead (crashed or permanently
-        # hung) is stuck forever, and waiting on it would run the
-        # engine to its simulated-time limit for nothing.
-        if done.triggered or remaining["n"] == 0:
-            if not done.triggered:
-                done.succeed()
-            return
-        for r, t in enumerate(tasks):
-            p = t.proc
-            if p is not None and p.alive and not t.node.dead:
-                return
-        done.succeed()
-
-    def make_cb(r: int):
-        def cb(ev) -> None:
+    if faults is None:
+        def on_rank_done(_ev) -> None:
             remaining["n"] -= 1
-            if not ev.ok:
-                failed[r] = ev.exception
-                comm.mark_rank_failed(r, ev.exception)
-            check_done()
-        return cb
+            if remaining["n"] == 0 and not done.triggered:
+                done.succeed()
+
+        callbacks = [on_rank_done] * nranks
+    else:
+        if mpi_timeout_s is None:
+            mpi_timeout_s = faults.mpi_timeout_s
+        if mpi_timeout_s is not None:
+            comm.timeout_ns = int(mpi_timeout_s * 1e9)
+        failed: Dict[int, BaseException] = {}
+
+        def check_done() -> None:
+            # The job is over when every rank either finished or can never
+            # finish: a rank whose node is dead (crashed or permanently
+            # hung) is stuck forever, and waiting on it would run the
+            # engine to its simulated-time limit for nothing.
+            if done.triggered or remaining["n"] == 0:
+                if not done.triggered:
+                    done.succeed()
+                return
+            for r, t in enumerate(tasks):
+                p = t.proc
+                if p is not None and p.alive and not t.node.dead:
+                    return
+            done.succeed()
+
+        def make_cb(r: int):
+            def cb(ev) -> None:
+                remaining["n"] -= 1
+                if not ev.ok:
+                    failed[r] = ev.exception
+                    comm.mark_rank_failed(r, ev.exception)
+                check_done()
+            return cb
+
+        callbacks = [make_cb(r) for r in range(nranks)]
 
     for r, task in enumerate(tasks):
         node = cluster.nodes[r // ranks_per_node]
         node.scheduler.start(task, app(comm.ranks[r]))
-        task.proc.done_event.add_callback(make_cb(r))
+        task.proc.done_event.add_callback(callbacks[r])
 
-    # Daemon watchdog: catches the corner where *no* completion
-    # callback can ever fire (every unfinished rank sits on a dead
-    # node) without running the engine to its simulated-time limit.
-    watchdog_ns = comm.timeout_ns or int(60e9)
+    if faults is not None:
+        # Daemon watchdog: catches the corner where *no* completion
+        # callback can ever fire (every unfinished rank sits on a dead
+        # node) without running the engine to its simulated-time limit.
+        watchdog_ns = comm.timeout_ns or int(60e9)
 
-    def watchdog() -> None:
-        if done.triggered:
-            return
-        check_done()
-        if not done.triggered:
-            engine.schedule(watchdog_ns, watchdog, daemon=True)
+        def watchdog() -> None:
+            if done.triggered:
+                return
+            check_done()
+            if not done.triggered:
+                engine.schedule(watchdog_ns, watchdog, daemon=True)
 
-    engine.schedule(watchdog_ns, watchdog, daemon=True)
+        engine.schedule(watchdog_ns, watchdog, daemon=True)
     engine.run_until(done, limit_ns=int(limit_s * 1e9))
-    stuck = [
-        r for r, t in enumerate(tasks)
-        if t.proc is not None and t.proc.alive
-    ]
-    if failed or stuck or not done.triggered:
-        raise JobAbortedError(
-            name,
-            failed={r: f"{type(e).__name__}: {e}" for r, e in failed.items()},
-            hung=stuck,
-            fault_events=list(faults.events),
+    if faults is not None:
+        from repro.mpi.errors import JobAbortedError
+
+        stuck = [
+            r for r, t in enumerate(tasks)
+            if t.proc is not None and t.proc.alive
+        ]
+        if failed or stuck or not done.triggered:
+            raise JobAbortedError(
+                name,
+                failed={r: f"{type(e).__name__}: {e}" for r, e in failed.items()},
+                hung=stuck,
+                fault_events=list(faults.events),
+            )
+    elif not done.triggered:
+        raise RuntimeError(
+            f"MPI job {name!r} did not finish within {limit_s} simulated seconds"
         )
     results = [t.proc.result for t in tasks]
     elapsed = None

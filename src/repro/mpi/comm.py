@@ -142,26 +142,6 @@ class Communicator:
     def size(self) -> int:
         return len(self.tasks)
 
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        """Send-sequence counter plus every rank's mailbox (queued
-        messages and matching waiters, by reference).  In-flight wire
-        transfers need no capture of their own — they exist only as
-        pending engine heap entries, which :meth:`Engine.snapshot`
-        already owns."""
-        return {
-            "send_seq": self._send_seq,
-            "n_pending_recvs": len(self._pending_recvs),
-            "_mailboxes": [mbox.__snapshot__() for mbox in self._mailboxes],
-            "_pending_recvs": list(self._pending_recvs),
-        }
-
-    def __restore__(self, state: dict) -> None:
-        self._send_seq = state["send_seq"]
-        for mbox, mstate in zip(self._mailboxes, state["_mailboxes"]):
-            mbox.__restore__(mstate)
-        self._pending_recvs[:] = state["_pending_recvs"]
-
     # -- wire interface ------------------------------------------------------
     def _inject(self, msg: Message) -> None:
         """Hand a message to the network; it lands in the destination's

@@ -99,17 +99,6 @@ class Nic:
         traffic before its serialization starts."""
         return max(0, self._tx_free - now)
 
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        return {"tx_free": self._tx_free, "rx_free": self._rx_free,
-                "tx_bytes": self.tx_bytes, "rx_bytes": self.rx_bytes}
-
-    def __restore__(self, state: dict) -> None:
-        self._tx_free = state["tx_free"]
-        self._rx_free = state["rx_free"]
-        self.tx_bytes = state["tx_bytes"]
-        self.rx_bytes = state["rx_bytes"]
-
 
 class Network:
     """The interconnect joining a cluster's nodes."""
@@ -141,14 +130,6 @@ class Network:
     def attach(self, node: "Node") -> None:
         """Give a node its NIC."""
         node.nic = Nic(self.spec)
-
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        return {"messages": self.messages, "bytes_moved": self.bytes_moved}
-
-    def __restore__(self, state: dict) -> None:
-        self.messages = state["messages"]
-        self.bytes_moved = state["bytes_moved"]
 
     def transfer(
         self,

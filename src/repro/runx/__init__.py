@@ -35,7 +35,6 @@ from repro.runx.spec import (
     OK,
     CellResult,
     CellSpec,
-    attempt_seed,
 )
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "part_path",
     "repair_torn_tail",
     "iter_records",
-    "attempt_seed",
     "OK",
     "FAILED",
     "FAILED_IN_SIM",

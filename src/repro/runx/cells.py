@@ -53,25 +53,13 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
         params["bench"], NasClass(params["cls"]), nodes=params["nodes"],
         ranks_per_node=params["rpn"], htt=params.get("htt", False),
     )
-    interval = int(params.get("interval", 1000))
     fault_rules = params.get("faults")
     if fault_rules:
         return _nas_cell_faulted(cfg, params, seed, metrics, fault_rules)
     if params.get("attr"):
         return _nas_cell_attr(cfg, params, seed, metrics)
-    if metrics is None:
-        # Warmup-prefix sharing (repro.runx.forkshare): interval-sweep
-        # cells fork a shared warm prefix instead of replaying it.  Any
-        # ineligibility falls through to the cold loop below, which the
-        # forked values are byte-identical to (the fork-identity tests).
-        from repro.runx.forkshare import forked_nas_values
-
-        fv = forked_nas_values(params, seed)
-        if fv is not None:
-            return {"values": fv}
     m = run_repeated(
         lambda s: run_nas_config(cfg, smm=params["smm"], seed=s,
-                                 interval_jiffies=interval,
                                  metrics=metrics),
         reps=params["reps"],
         base_seed=seed,

@@ -14,8 +14,8 @@ the real-world failure classes the runner claims to survive:
 
 Rules may be scoped to specific attempt numbers, so ``"attempts": [0]``
 gives the canonical transient fault: first try dies, the retry — with
-its deterministically derived seed — succeeds.  CI's chaos smoke job and
-the runx test-suite are the consumers.
+the cell's own seed, so its value equals a clean run's — succeeds.
+CI's chaos smoke job and the runx test-suite are the consumers.
 """
 
 from __future__ import annotations

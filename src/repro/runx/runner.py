@@ -16,10 +16,9 @@ no matter what individual cells do.  The failure model:
   killed.
 * **Bounded retries** — a failed attempt is retried up to ``retries``
   times after a deterministic exponential backoff
-  (``backoff_s * 2**(attempt-1)``), each attempt re-seeded with
-  :func:`~repro.runx.spec.attempt_seed` so a genuinely diverging seed is
-  not replayed verbatim.  Attempt 0 always uses the spec's own seed, so
-  clean sweeps stay bit-identical to the legacy serial path.
+  (``backoff_s * 2**(attempt-1)``).  Every attempt uses the spec's own
+  ``base_seed`` — the rule the serve daemon follows too — so a retried
+  cell's value is byte-identical to a clean run's.
 * **Checkpointing** — every terminal result is appended to the
   :class:`~repro.runx.journal.Journal` (fsync per line) and mirrored to
   the v2 manifest; ``completed=`` feeds previously journaled results
@@ -28,10 +27,6 @@ no matter what individual cells do.  The failure model:
   concurrently; cell seeds are position-derived, so results are
   independent of scheduling order and ``--jobs N`` output is
   bit-identical to ``--jobs 1``.
-* **Fork groups** — interval-sweep cells that share a warm prefix
-  (:mod:`repro.runx.forkshare`) go to one child in ascending-interval
-  order; its prefix store persists across jobs, so the first cell warms
-  what every later cell forks.
 * **Graceful drain** — :meth:`SweepRunner.request_drain` (the CLI wires
   it to SIGINT/SIGTERM) stops *launching* cells while in-flight cells
   finish and are journaled normally; ``run()`` then returns only the
@@ -49,7 +44,6 @@ callers that already trust their cells.
 
 from __future__ import annotations
 
-import json
 import logging
 import threading
 import time
@@ -64,7 +58,6 @@ from repro.runx.spec import (
     OK,
     CellResult,
     CellSpec,
-    attempt_seed,
 )
 
 __all__ = ["SweepRunner"]
@@ -116,11 +109,6 @@ class SweepRunner:
         #: sweep (and across process boundaries).  Lazily created on
         #: first use; pass one in to share it across runners.
         self.baselines = baselines
-        #: Aggregated warm-prefix cache accounting (repro.runx.forkshare):
-        #: workers report their store's per-job delta and the runner sums
-        #: them here.
-        self.snapshot_stats: Dict[str, int] = {
-            "hits": 0, "misses": 0, "evictions": 0, "forks": 0}
         self._lock = threading.Lock()
         self._drain = threading.Event()
         self._done = 0
@@ -190,11 +178,11 @@ class SweepRunner:
                 self._record(prior, journal=False)
             else:
                 todo.append(spec)
-        units = self._plan_units(todo)
-        if self.jobs == 1 or len(units) <= 1:
-            for unit in units:
-                for cid, res in self._run_unit(unit):
-                    results[cid] = res
+        if self.jobs == 1 or len(todo) <= 1:
+            for spec in todo:
+                res = self._run_cell(spec)
+                if res is not None:
+                    results[spec.id] = res
         else:
             pool = self._pool
             if pool is None:
@@ -203,63 +191,10 @@ class SweepRunner:
                 # instead of paying pool teardown/spin-up per pass.
                 self._pool = pool = ThreadPoolExecutor(
                     max_workers=self.jobs, thread_name_prefix="sweep")
-            for pairs in pool.map(self._run_unit, units):
-                for cid, res in pairs:
-                    results[cid] = res
+            for spec, res in zip(todo, pool.map(self._run_cell, todo)):
+                if res is not None:
+                    results[spec.id] = res
         return results
-
-    # -- fork-group planning --------------------------------------------------
-    def _plan_units(self, todo: List[CellSpec]) -> List:
-        """Partition the work list into schedulable units: single specs,
-        plus *fork groups* — runs of cells that differ only in
-        ``params["interval"]`` and therefore share a warm prefix
-        (:mod:`repro.runx.forkshare`).  A group runs on one thread's
-        worker child, sorted by ascending interval, so the first cell
-        warms the prefix every later cell forks from.  Inline isolation
-        needs no grouping: cells already share the in-process store."""
-        if self.isolation != "process" or self.metrics is not None:
-            return list(todo)
-        from repro.runx.forkshare import fork_supported, snapshot_mode
-
-        if snapshot_mode() == "off" or not fork_supported():
-            return list(todo)
-        groups: Dict[str, List[CellSpec]] = {}
-        keys: Dict[str, str] = {}
-        for spec in todo:
-            key = self._fork_group_key(spec)
-            if key is not None:
-                groups.setdefault(key, []).append(spec)
-                keys[spec.id] = key
-        units: List = []
-        emitted = set()
-        for spec in todo:
-            key = keys.get(spec.id)
-            if key is None or len(groups[key]) < 2:
-                units.append(spec)
-            elif key not in emitted:
-                emitted.add(key)
-                units.append(sorted(
-                    groups[key], key=lambda s: int(s.params["interval"])))
-        return units
-
-    @staticmethod
-    def _fork_group_key(spec: CellSpec) -> Optional[str]:
-        p = spec.params
-        if (spec.fn != "nas" or "interval" not in p or not p.get("smm")
-                or p.get("faults") or p.get("attr")):
-            return None
-        rest = {k: v for k, v in p.items() if k != "interval"}
-        return json.dumps([rest, spec.base_seed], sort_keys=True,
-                          default=str)
-
-    def _run_unit(self, unit) -> List[Tuple[str, CellResult]]:
-        specs = [unit] if isinstance(unit, CellSpec) else unit
-        out = []
-        for spec in specs:  # a fork group stays on this thread's child
-            res = self._run_cell(spec)
-            if res is not None:
-                out.append((spec.id, res))
-        return out
 
     # -- graceful drain -------------------------------------------------------
     def request_drain(self) -> None:
@@ -301,7 +236,6 @@ class SweepRunner:
         seed = spec.base_seed
         attempt = 0
         while True:
-            seed = attempt_seed(spec.base_seed, attempt)
             if attempt > 0:
                 delay = self.backoff_s * (2 ** (attempt - 1))
                 if delay > 0:
@@ -435,11 +369,6 @@ class SweepRunner:
             return None, str(exc), None
         if reply.get("baselines"):
             self._baseline_store().absorb(reply["baselines"])
-        if reply.get("snapshot_stats"):
-            with self._lock:
-                for k, v in reply["snapshot_stats"].items():
-                    if k in self.snapshot_stats:
-                        self.snapshot_stats[k] += int(v)
         if self.metrics is not None and reply.get("metrics"):
             with self._lock:
                 self.metrics.merge_snapshot(reply["metrics"])

@@ -9,10 +9,9 @@ actually produced the payload.
 
 Seeds are **position-derived, never order-derived**: a spec carries its
 ``base_seed`` computed from where the cell sits in the matrix (see
-:func:`repro.core.experiment.smm_cell_seed`), and retries derive
-per-attempt seeds from it with :func:`attempt_seed`.  Running cells in
-any order — serially, under ``--jobs 8``, or resumed after a crash —
-therefore yields bit-identical payloads.
+:func:`repro.core.experiment.smm_cell_seed`), and every retry reuses it
+unchanged.  Running cells in any order — serially, under ``--jobs 8``,
+or resumed after a crash — therefore yields bit-identical payloads.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ __all__ = [
     "FAILED_IN_SIM",
     "CellSpec",
     "CellResult",
-    "attempt_seed",
 ]
 
 #: Terminal cell statuses.  Timeouts, crashes, corrupt output, and cell
@@ -41,19 +39,6 @@ __all__ = [
 OK = "ok"
 FAILED = "failed"
 FAILED_IN_SIM = "failed-in-sim"
-
-#: Stride between retry attempts of the same cell (a large prime far from
-#: the rep/smm strides, so attempt seeds never collide with neighbouring
-#: cells' seeds).  Attempt 0 uses ``base_seed`` unchanged — a sweep where
-#: every cell succeeds first try is seed-for-seed identical to the legacy
-#: serial path.
-ATTEMPT_SEED_STRIDE = 15485863
-
-
-def attempt_seed(base_seed: int, attempt: int) -> int:
-    """Deterministic seed for retry ``attempt`` (0-based) of a cell."""
-    return base_seed + ATTEMPT_SEED_STRIDE * attempt
-
 
 @dataclass(frozen=True)
 class CellSpec:

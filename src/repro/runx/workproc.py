@@ -16,8 +16,8 @@ stdout → ``{"kind": "ready", "pid": ...}`` once, after the imports,
 A result carries the payload (``value``) or the in-band failure
 (``error``; ``failed_in_sim`` + ``fault`` for a deterministic in-sim
 death), plus this job's own deltas: fresh shared-baseline records and
-hit/miss counts, warm-prefix cache counts, and — with ``"metrics":
-true`` — the snapshot of a registry created for this job alone.
+hit/miss counts, and — with ``"metrics": true`` — the snapshot of a
+registry created for this job alone.
 Heartbeats let a supervisor tell a frozen interpreter from a slow cell.
 EOF on stdin is the shutdown signal: the worker exits 0.
 
@@ -113,31 +113,6 @@ def _attach_baselines(result: Dict[str, Any], h0: int, m0: int) -> None:
         result["baseline_stats"] = {"hits": dh, "misses": dm}
 
 
-def _snapshot_stats() -> Dict[str, int]:
-    """Current warm-prefix cache tally (repro.runx.forkshare), without
-    importing it into jobs that never touch the fork path.  The store —
-    and the live simulations it holds — survives across this worker's
-    jobs, so an interval sweep sent to one worker forks the same warm
-    prefix job after job."""
-    mod = sys.modules.get("repro.runx.forkshare")
-    if mod is None:
-        return {}
-    return mod.global_store().stats()
-
-
-def _attach_snapshot_stats(result: Dict[str, Any],
-                           s0: Dict[str, int]) -> None:
-    """Add this job's warm-prefix cache delta (hits/misses/evictions/
-    forks) to the result line."""
-    s1 = _snapshot_stats()
-    if not s1:
-        return
-    delta = {k: s1[k] - s0.get(k, 0)
-             for k in ("hits", "misses", "evictions", "forks")}
-    if any(delta.values()):
-        result["snapshot_stats"] = delta
-
-
 def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
     from repro.faults import FaultedRunError
     from repro.obs.metrics import MetricsRegistry
@@ -169,7 +144,6 @@ def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
 
         global_store().absorb(req["baselines"])
     h0, m0 = _baseline_stats()
-    s0 = _snapshot_stats()
     registry = MetricsRegistry() if req.get("metrics") else None
 
     result: Dict[str, Any] = {"kind": "result", "id": job_id}
@@ -177,7 +151,6 @@ def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
         result.update(ok=True, value=run_cell(
             fn, spec.get("params", {}), seed, metrics=registry))
         _attach_baselines(result, h0, m0)
-        _attach_snapshot_stats(result, s0)
     except FaultedRunError as exc:
         # Deterministic in-sim death: terminal, never worth a retry.
         result.update(ok=False, failed_in_sim=True, error=str(exc),

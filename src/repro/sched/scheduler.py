@@ -403,43 +403,6 @@ class Scheduler:
             task=task.name, cpu=target.index,
         )
 
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        """RNG stream, balance counters, and per-task placement plus the
-        three accounting streams.  Tasks are captured by reference — the
-        quiescent-window contract (no task created/destroyed in between)."""
-        return {
-            "rng_state": self.rng.getstate(),
-            "misplacements": self.misplacements,
-            "rebalances": self.rebalances,
-            "rebalance_pending": self._rebalance_pending,
-            "tasks": [
-                [t.state.value, t.cpu.index if t.cpu is not None else None,
-                 t.acct.kernel_ns, t.acct.true_ns, t.acct.stolen_ns,
-                 t.acct.segments, t.acct.work_done]
-                for t in self.tasks
-            ],
-            "_tasks": list(self.tasks),
-        }
-
-    def __restore__(self, state: dict) -> None:
-        from repro.simx.errors import SnapshotError
-
-        if state["_tasks"] != self.tasks:
-            raise SnapshotError("task population changed since snapshot")
-        self.rng.setstate(state["rng_state"])
-        self.misplacements = state["misplacements"]
-        self.rebalances = state["rebalances"]
-        self._rebalance_pending = state["rebalance_pending"]
-        for t, row in zip(self.tasks, state["tasks"]):
-            t.state = TaskState(row[0])
-            t.cpu = self.node.cpu(row[1]) if row[1] is not None else None
-            t.acct.kernel_ns = row[2]
-            t.acct.true_ns = row[3]
-            t.acct.stolen_ns = row[4]
-            t.acct.segments = row[5]
-            t.acct.work_done = row[6]
-
     # -- queries -----------------------------------------------------------
     def running_tasks(self) -> List[Task]:
         return [t for t in self.tasks if t.state is TaskState.RUNNING]

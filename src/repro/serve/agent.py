@@ -253,7 +253,7 @@ class WorkerAgent:
     def _result_fields(rec: Dict[str, Any]) -> Dict[str, Any]:
         return {k: rec[k] for k in
                 ("ok", "value", "error", "failed_in_sim", "fault",
-                 "baselines", "baseline_stats", "snapshot_stats")
+                 "baselines", "baseline_stats")
                 if k in rec}
 
     def _deliver(self, digest: str, token: int,

@@ -133,13 +133,6 @@ class ServeDaemon:
         self.baselines = BaselineStore()
         self._baseline_hits = 0
         self._baseline_misses = 0
-        #: Aggregated warm-prefix cache tallies from the worker pool
-        #: (repro.runx.forkshare).  Unlike baselines, the warm prefixes
-        #: themselves are live simulations and cannot cross process
-        #: boundaries — each workproc keeps its own store; the daemon
-        #: only sums the accounting for ``repro-smm status``.
-        self._snapshot_stats = {"hits": 0, "misses": 0,
-                                "evictions": 0, "forks": 0}
         self._lock = SingleWriterLock(
             os.path.join(config.state_dir, "daemon.lock"))
         self.cache: Optional[ResultCache] = None
@@ -520,10 +513,6 @@ class ServeDaemon:
             self._baseline_hits += int(outcome.baseline_stats.get("hits", 0))
             self._baseline_misses += int(
                 outcome.baseline_stats.get("misses", 0))
-        if outcome.snapshot_stats:
-            for k in self._snapshot_stats:
-                self._snapshot_stats[k] += int(
-                    outcome.snapshot_stats.get(k, 0))
         job = self._inflight.get(order.digest)
         if job is None or job.order is not order:
             return  # already terminal (e.g. quarantine raced a kill)
@@ -710,8 +699,7 @@ class ServeDaemon:
             fault=result.get("fault"),
             infra=bool(result.get("infra")),
             baselines=result.get("baselines"),
-            baseline_stats=result.get("baseline_stats"),
-            snapshot_stats=result.get("snapshot_stats")))
+            baseline_stats=result.get("baseline_stats")))
         return {"ok": True, "accepted": True}
 
     # -- operator ops ----------------------------------------------------------
@@ -776,7 +764,6 @@ class ServeDaemon:
                     "misses": self._baseline_misses,
                     "evictions": self.baselines.evictions,
                 },
-                "snapshot_cache": dict(self._snapshot_stats),
             },
             "counters": counters,
         }

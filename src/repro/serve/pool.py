@@ -58,14 +58,13 @@ class Outcome:
     """What happened to one attempt."""
 
     __slots__ = ("ok", "value", "error", "failed_in_sim", "fault", "infra",
-                 "baselines", "baseline_stats", "snapshot_stats")
+                 "baselines", "baseline_stats")
 
     def __init__(self, ok: bool = False, value: Optional[Dict] = None,
                  error: Optional[str] = None, failed_in_sim: bool = False,
                  fault: Optional[Dict] = None, infra: bool = False,
                  baselines: Optional[list] = None,
-                 baseline_stats: Optional[Dict] = None,
-                 snapshot_stats: Optional[Dict] = None):
+                 baseline_stats: Optional[Dict] = None):
         self.ok = ok
         self.value = value
         self.error = error
@@ -79,9 +78,6 @@ class Outcome:
         #: repro.obs.attr.baseline).
         self.baselines = baselines
         self.baseline_stats = baseline_stats
-        #: this job's warm-prefix cache delta (interval-sweep cells only;
-        #: see repro.runx.forkshare).
-        self.snapshot_stats = snapshot_stats
 
 
 class _Slot:
@@ -323,8 +319,7 @@ class WorkerPool:
                     return Outcome(
                         ok=True, value=rec.get("value"),
                         baselines=rec.get("baselines"),
-                        baseline_stats=rec.get("baseline_stats"),
-                        snapshot_stats=rec.get("snapshot_stats")), True
+                        baseline_stats=rec.get("baseline_stats")), True
                 return Outcome(
                     error=str(rec.get("error", "?")),
                     failed_in_sim=bool(rec.get("failed_in_sim")),

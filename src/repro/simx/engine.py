@@ -56,24 +56,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.simx.errors import (
-    DeadlockError,
-    ProcessKilled,
-    SimulationError,
-    SnapshotError,
-)
+from repro.simx.errors import DeadlockError, ProcessKilled, SimulationError
 
-__all__ = [
-    "Engine",
-    "EngineSnapshot",
-    "Delay",
-    "Event",
-    "AllOf",
-    "AnyOf",
-    "Interrupt",
-    "Process",
-    "Handle",
-]
+__all__ = ["Engine", "Delay", "Event", "AllOf", "AnyOf", "Interrupt", "Process", "Handle"]
 
 # Heap-entry field indices (see module docstring).
 _TIME, _SEQ, _FN, _ARGS, _DAEMON, _CANCELLED = range(6)
@@ -274,7 +259,6 @@ class Process:
         "_alive",
         "_pending_handle",
         "_waiting_on",
-        "_steps",
     )
 
     def __init__(
@@ -302,10 +286,6 @@ class Process:
         #: event callbacks.
         self._pending_handle: Any = None
         self._waiting_on: Any = None
-        #: Generator resumption count — the staleness census token for
-        #: :meth:`Engine.snapshot`/:meth:`Engine.restore`: a process whose
-        #: frame advanced since the snapshot cannot be rewound.
-        self._steps = 0
         engine._live_processes += 1
         engine._procs[id(self)] = self
         # First step happens at the current instant, in scheduling order.
@@ -382,7 +362,6 @@ class Process:
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if not self._alive:
             return
-        self._steps += 1
         try:
             if exc is not None:
                 cmd = self.gen.throw(exc)
@@ -603,31 +582,6 @@ def _as_event(w: Any) -> Event:
     raise TypeError(f"cannot wait on {w!r}")
 
 
-class EngineSnapshot:
-    """An :meth:`Engine.snapshot` capture (opaque; hand it back to
-    :meth:`Engine.restore`).
-
-    Heap entries are captured *by reference* together with their mutable
-    fields (fire time, tombstone flag): entries are single-use lists, so
-    re-installing the saved field values and rebuilding the heap from the
-    saved entry list rewinds the scheduler exactly — including entries
-    that were popped, fired, cancelled, or time-shifted in between.
-    """
-
-    __slots__ = ("now", "seq", "foreground", "live", "entries", "proc_steps")
-
-    def __init__(self, now: int, seq: int, foreground: int, live: int,
-                 entries: list, proc_steps: dict):
-        self.now = now
-        self.seq = seq
-        self.foreground = foreground
-        self.live = live
-        #: ``[(entry, time_ns, cancelled), ...]`` for every heap entry.
-        self.entries = entries
-        #: ``id(proc) -> (proc, steps)`` census at capture time.
-        self.proc_steps = proc_steps
-
-
 class Engine:
     """The event loop: an event heap plus a live-process census.
 
@@ -841,86 +795,6 @@ class Engine:
                 + "\n".join(lines)
             )
         return t
-
-    # -- snapshot/restore (DESIGN.md §11) ------------------------------------
-    def snapshot(self) -> EngineSnapshot:
-        """Capture the scheduler's full state at the current instant.
-
-        Valid only at a *quiescent window*: between callbacks, with no
-        resumption half-delivered.  The capture is cheap (one pass over
-        the heap, no copying of generator frames) because generators
-        cannot be rewound — :meth:`restore` instead *refuses* to restore
-        once any process has stepped, died, or been created since the
-        snapshot.  Layer state (rate columns, SMM residency, RNGs) is
-        captured separately via the ``__snapshot__`` protocol
-        (:mod:`repro.simx.snapshot`).
-        """
-        entries = [(e, e[_TIME], e[_CANCELLED]) for e in self._heap]
-        proc_steps = {pid: (p, p._steps) for pid, p in self._procs.items()}
-        return EngineSnapshot(
-            now=self._now,
-            seq=self._seq,
-            foreground=self._foreground,
-            live=self._live_processes,
-            entries=entries,
-            proc_steps=proc_steps,
-        )
-
-    def restore(self, snap: EngineSnapshot) -> None:
-        """Rewind the scheduler to a prior :meth:`snapshot`.
-
-        Raises :class:`SnapshotError` if the process census changed —
-        any process stepped, finished, or was created since the capture.
-        Within that window the restore is exact: entry times and
-        tombstones are re-installed in place and the heap is rebuilt from
-        the captured entry list, so subsequent pops replay in the
-        identical (time, seq) order.
-        """
-        if len(self._procs) != len(snap.proc_steps):
-            raise SnapshotError(
-                f"process census changed: {len(self._procs)} live now vs "
-                f"{len(snap.proc_steps)} at snapshot")
-        for pid, (proc, steps) in snap.proc_steps.items():
-            cur = self._procs.get(pid)
-            if cur is not proc or cur._steps != steps:
-                raise SnapshotError(
-                    f"process {proc.name!r} advanced since snapshot "
-                    f"(steps {getattr(cur, '_steps', None)} vs {steps})")
-        # Entries scheduled *after* the snapshot are about to be dropped
-        # from the heap, but layers may still hold handles to them (an
-        # executor's armed timer, say).  Tombstone them now so a later
-        # _cancel_entry through such a handle is an idempotent no-op
-        # instead of decrementing the restored foreground count for an
-        # entry that is no longer scheduled.
-        snap_ids = {id(e) for e, _, _ in snap.entries}
-        for entry in self._heap:
-            if id(entry) not in snap_ids:
-                entry[_CANCELLED] = True
-        heap = []
-        foreground = 0
-        for entry, t_ns, cancelled in snap.entries:
-            entry[_TIME] = t_ns
-            entry[_CANCELLED] = cancelled
-            heap.append(entry)
-            if not cancelled and not entry[_DAEMON]:
-                foreground += 1
-        if foreground != snap.foreground:  # pragma: no cover - invariant
-            raise SnapshotError(
-                f"foreground count mismatch: {foreground} rebuilt vs "
-                f"{snap.foreground} captured")
-        heapq.heapify(heap)
-        self._heap = heap
-        self._now = snap.now
-        self._seq = snap.seq
-        self._foreground = snap.foreground
-        self._live_processes = snap.live
-        self._orphan_failures.clear()
-
-    def reheapify(self) -> None:
-        """Re-establish the heap invariant after entry fire times were
-        mutated in place (the prefix-fork retarget path; see
-        :meth:`repro.core.smi.SmiSource.retarget_interval`)."""
-        heapq.heapify(self._heap)
 
     def _record_orphan_failure(self, proc: Process, exc: BaseException) -> None:
         self._orphan_failures.append((proc.name, exc))

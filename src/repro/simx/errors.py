@@ -32,12 +32,3 @@ class NodeFailedError(SimulationError):
 class GateClosedForever(SimulationError):
     """Raised when a wake-up is delivered through a gate that reports it
     will never reopen (e.g. a node that has been powered off)."""
-
-
-class SnapshotError(SimulationError):
-    """Raised by :meth:`Engine.restore` (and layer ``__restore__``
-    implementations) when the live object population no longer matches the
-    snapshot — e.g. a process stepped, died, or was created since
-    :meth:`Engine.snapshot`.  Restoring across such a boundary would
-    resurrect generators whose frames have already advanced, so the
-    engine refuses rather than silently diverging."""

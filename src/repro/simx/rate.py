@@ -433,61 +433,3 @@ class RateExecutor:
         if leftovers is not None:
             self._finish_batch(leftovers)
         self._reschedule()
-
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        """Capture the SoA columns and timer state.  Membership itself is
-        captured by reference (items cannot be reconstructed), so a
-        restore is valid only while the resident set is unchanged — the
-        quiescent-window contract of :mod:`repro.simx.snapshot`."""
-        timer = self._timer
-        return {
-            "remaining": [it.remaining for it in self._items],
-            "rates": list(self._rate),
-            "last_sync": self._last_sync,
-            "total_work_served": self.total_work_served,
-            "timer_time": self._timer_time,
-            "timer_armed": timer is not None and not timer[5],
-            "_items": list(self._items),
-            "_timer": timer,
-        }
-
-    def __restore__(self, state: dict) -> None:
-        if state["_items"] != self._items:
-            raise SimulationError(
-                "rate-executor membership changed since snapshot")
-        for it, rem in zip(self._items, state["remaining"]):
-            it.remaining = rem
-        self._rate[:] = state["rates"]
-        self._last_sync = state["last_sync"]
-        self.total_work_served = state["total_work_served"]
-        self._timer_time = state["timer_time"]
-        saved = state["_timer"]
-        cur = self._timer
-        if not state["timer_armed"]:
-            if cur is not None:
-                self._cancel_timer()
-            return
-        # An armed completion timer must come back armed at the saved fire
-        # time (the PR 8 stale-timer bug class).  Three cases:
-        if (cur is saved and cur is not None and not cur[5]
-                and self._timer_time == cur[0]):
-            return  # 1. the very same live entry: nothing to do
-        if saved is not None and not saved[5] and saved[0] == self._timer_time:
-            # 2. the saved entry was resurrected by Engine.restore (its
-            #    tombstone cleared, time re-installed): rebind to it.
-            if cur is not None and cur is not saved:
-                self.engine._cancel_entry(cur)
-            self._timer = saved
-            return
-        # 3. the saved entry was consumed for good: arm a fresh timer at
-        #    the saved absolute time (costs one sequence number, so this
-        #    path is for standalone layer restores, not byte-exact replay).
-        if cur is not None:
-            self.engine._cancel_entry(cur)
-        delay = self._timer_time - self.engine._now
-        if delay < 0:
-            raise SimulationError(
-                f"cannot re-arm completion timer in the past "
-                f"({self._timer_time} < now={self.engine._now})")
-        self._timer = self.engine._post(delay, self._on_timer, (), False)

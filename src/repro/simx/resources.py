@@ -290,25 +290,3 @@ class Store:
             if predicate(item):
                 return item
         return None
-
-    # -- snapshot/restore protocol (DESIGN.md §11) --------------------------
-    def __snapshot__(self) -> dict:
-        return {
-            "seq": self._seq,
-            "depth": len(self._items),
-            "n_waiters": len(self._waiters),
-            "_items": dict(self._items),
-            "_index": ({k: list(q) for k, q in self._index.items()}
-                       if self._index is not None else None),
-            "_waiters": list(self._waiters),
-        }
-
-    def __restore__(self, state: dict) -> None:
-        from collections import deque as _deque
-
-        self._seq = state["seq"]
-        self._items = dict(state["_items"])
-        if self._index is not None:
-            self._index = {k: _deque(ids)
-                           for k, ids in state["_index"].items()}
-        self._waiters = list(state["_waiters"])

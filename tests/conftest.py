@@ -24,15 +24,3 @@ def _fresh_baseline_store():
     if mod is not None:
         mod.reset_global_store()
 
-
-@pytest.fixture(autouse=True)
-def _fresh_snapshot_store():
-    # Same isolation for the warm-prefix store (repro.runx.forkshare):
-    # a leaked warm prefix would serve one test's simulation to another.
-    mod = sys.modules.get("repro.runx.forkshare")
-    if mod is not None:
-        mod.reset_global_store()
-    yield
-    mod = sys.modules.get("repro.runx.forkshare")
-    if mod is not None:
-        mod.reset_global_store()

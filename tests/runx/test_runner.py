@@ -13,7 +13,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runx import Journal, SweepRunner, load_resume
-from repro.runx.spec import CellResult, CellSpec, attempt_seed
+from repro.runx.spec import CellResult, CellSpec
 from repro.runx.supervisor import WorkerChild, worker_env
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
@@ -61,8 +61,9 @@ def test_retry_uses_derived_seeds_and_backoff_is_bounded():
                       metrics=reg).run([spec])["f"]
     assert not res.ok
     assert res.attempts == 3
-    assert res.seed == attempt_seed(7, 2)
+    assert res.seed == 7  # every retry reuses the cell's own seed
     assert len(res.attempt_errors) == 3
+    assert all("(seed 7)" in e for e in res.attempt_errors)
     assert reg.get("runx.cells.retried").value == 2
 
 

@@ -5,13 +5,12 @@ import json
 import pytest
 
 from repro.core.experiment import rep_seed, smm_cell_seed
+from repro.runx import SweepRunner
 from repro.runx.spec import (
-    ATTEMPT_SEED_STRIDE,
     FAILED,
     OK,
     CellResult,
     CellSpec,
-    attempt_seed,
 )
 
 
@@ -38,10 +37,15 @@ def test_failed_result_defaults():
     assert res.status == FAILED and not res.ok and res.value is None
 
 
-def test_attempt_seed_is_deterministic_and_attempt0_is_base():
-    assert attempt_seed(42, 0) == 42
-    assert attempt_seed(42, 3) == 42 + 3 * ATTEMPT_SEED_STRIDE
-    assert attempt_seed(42, 3) == attempt_seed(42, 3)
+def test_every_attempt_runs_on_the_base_seed():
+    # Every attempt, retries included, runs on the spec's base_seed.
+    spec = CellSpec(id="f", fn="synthetic", params={"raise": "boom"},
+                    base_seed=42)
+    res = SweepRunner(isolation="inline", retries=3,
+                      backoff_s=0.0).run([spec])["f"]
+    assert res.attempts == 4 and res.seed == 42
+    assert [e.split(":")[0] for e in res.attempt_errors] == [
+        f"attempt {a} (seed 42)" for a in range(4)]
 
 
 def test_position_derived_seed_helpers_match_legacy_formulas():
