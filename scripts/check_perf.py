@@ -18,6 +18,11 @@ Two kinds of gate:
   their *correctness* is already pinned by the golden-cell identity
   tests, this gate only catches a hot-path collapse.
 
+Every gated bench must also schedule exactly the baseline's number of
+engine ``events``.  The count is deterministic (fixed seeds, exact fluid
+model), so a difference means an optimization added or dropped an event
+— a semantic change even when every payload still matches.
+
 The two documents must be comparable: same ``quick`` flag (quick mode
 scales the workloads down 10×) — mismatches are an error, not a pass.
 
@@ -26,7 +31,8 @@ Usage::
     python scripts/bench_perf.py --reps 3 -o BENCH_gate.json
     python scripts/check_perf.py BENCH_gate.json
 
-Exit codes: 0 within budget, 1 regression, 2 unusable input.
+Exit codes: 0 within budget, 1 regression or event-count change, 2
+unusable input.
 """
 
 from __future__ import annotations
@@ -106,12 +112,19 @@ def main(argv=None) -> int:
         print(f"check_perf: {name:<14} {b['wall_s']:.4f}s -> "
               f"{c['wall_s']:.4f}s  ({ratio:.3f}x baseline, "
               f"budget {100 * budget:.0f}%)  {verdict}")
+        verdict = "OK"
+        if c.get("events") != b.get("events"):
+            verdict = "EVENT COUNT CHANGED"
+            failures.append(f"{name} events")
+        print(f"check_perf: {'':<14} events {b.get('events')} -> "
+              f"{c.get('events')}  {verdict}")
 
     if failures:
         print(f"check_perf: FAIL — {', '.join(failures)} outside budget "
-              f"vs {args.baseline}", file=sys.stderr)
+              f"or changed vs {args.baseline}", file=sys.stderr)
         return 1
-    print("check_perf: all gated benches within budget")
+    print("check_perf: all gated benches within budget, event counts "
+          "unchanged")
     return 0
 
 

@@ -26,7 +26,8 @@ fluid model (DESIGN.md §5.1) is exact between transitions.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, TYPE_CHECKING
+from functools import partial
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.simx.engine import Engine
 from repro.simx.rate import RateExecutor, WorkItem
@@ -39,6 +40,12 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["LogicalCpu"]
 
 
+def _segment_done(item: WorkItem) -> None:
+    """Default completion callback: a bare CPU has no run queues to update
+    (the scheduler installs its own as ``executor.on_complete``); the
+    owning task wakes via ``item.done`` either way."""
+
+
 class LogicalCpu:
     """Execution model of one logical CPU on a node."""
 
@@ -46,10 +53,10 @@ class LogicalCpu:
         self.node = node
         self.state = state
         self.engine: Engine = node.engine
+        # Executor 0↔nonzero membership transitions keep the node's
+        # busy-CPU list current (the basis of every O(busy) rate pass).
         self.executor = RateExecutor(
-            self.engine, self._on_item_complete, self._busy_changed)
-        #: callback(work_item) invoked when a segment finishes (set by scheduler)
-        self.on_segment_done: Optional[Callable[[WorkItem], None]] = None
+            self.engine, _segment_done, partial(node._cpu_busy_changed, self))
         #: persistent rate multiplier in (0, 1]; < 1 models a straggler
         #: CPU (thermal throttling, a sick core).  ``x * 1.0 == x``
         #: exactly in IEEE-754, so the default changes no computed rate.
@@ -89,17 +96,6 @@ class LogicalCpu:
     def remove_segment(self, item: WorkItem) -> None:
         """Evict a segment (migration / cancellation)."""
         self.executor.remove(item)
-
-    def _on_item_complete(self, item: WorkItem) -> None:
-        # The executor already evicted the item; tell the scheduler so it
-        # can update run queues.  The owning task wakes via item.done.
-        if self.on_segment_done is not None:
-            self.on_segment_done(item)
-
-    def _busy_changed(self, busy: bool) -> None:
-        # Executor 0↔nonzero membership transition: keep the node's
-        # busy-CPU list current (the basis of every O(busy) rate pass).
-        self.node._cpu_busy_changed(self, busy)
 
     # -- fault injection ----------------------------------------------------
     def degrade(self, factor: float) -> None:
@@ -170,17 +166,26 @@ class LogicalCpu:
         items = self.executor.items
         if self.node._frozen or not self.state.online:
             return [0.0] * len(items)
-        node = self.node
         if len(items) == 1:
             # One segment on the node's one busy CPU — the hot state of
             # every one-rank-per-node sweep.
-            eff = node.cache_hierarchy.efficiency_solo(items[0].meta.profile)
-            return [node.spec.base_hz * self.degradation * eff / 1e9]
+            return [self.solo_rate(items[0].meta.profile)]
+        node = self.node
         profiles = [item.meta.profile for item in items]
         ws = sum([p.working_set_bytes for p in profiles])
         share_hz = node.spec.base_hz * self.degradation / len(items)
         effs = node.cache_hierarchy.efficiencies(profiles, ws, ws)
         return [share_hz * eff / 1e9 for eff in effs]
+
+    def solo_rate(self, profile: WorkloadProfile) -> float:
+        """Rate (work units per nanosecond) of a lone segment of
+        ``profile`` when this is the node's only busy CPU and the node is
+        running: the one expression behind :meth:`compute_rates_solo`'s
+        one-item case and the scheduler's lone-segment placement, so both
+        produce the same bits."""
+        node = self.node
+        eff = node.cache_hierarchy.efficiency_solo(profile)
+        return node.spec.base_hz * self.degradation * eff / 1e9
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<LogicalCpu {self.node.name}:cpu{self.index} tasks={self.n_tasks}>"

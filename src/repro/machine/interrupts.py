@@ -114,7 +114,7 @@ class InterruptController:
         if self.node.frozen:
             # NMI and IRQ alike pend until SMM exit: SMIs outrank them.
             self.deferred_by_smm += 1
-            self.node.deliver(lambda: self._route(pend))
+            self.node.deliver(self._route, (pend,))
         else:
             self.engine.schedule(0, self._route, pend)
         self.history.append(rec)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simx.engine import Engine
 from repro.simx.timeline import Timeline
@@ -83,7 +83,7 @@ class Node:
         self._frozen = False
         self._failed = False
         self._hung = False
-        self._deferred: List[Callable[[], None]] = []
+        self._deferred: List[Tuple[Callable[..., None], tuple]] = []
         self._unfreeze_listeners: List[Callable[[], None]] = []
         self._batch_depth = 0
         # Busy-CPU set, maintained by executor membership callbacks and
@@ -132,8 +132,8 @@ class Node:
         busy_list = self._busy
         if busy:
             i = len(busy_list)
-            idx = cpu.index
-            while i > 0 and busy_list[i - 1].index > idx:
+            idx = cpu.state.index
+            while i > 0 and busy_list[i - 1].state.index > idx:
                 i -= 1
             busy_list.insert(i, cpu)
             if self._batch_depth > 0:
@@ -148,9 +148,8 @@ class Node:
         """Integrate all executors and the accounting up to *now* at the
         currently-assigned rates.  Must be called *before* any mutation
         that changes rates (placement, freeze, hotplug)."""
-        if self.scheduler is not None:
-            self.scheduler.accounting.advance()
-        # Empty executors have nothing to integrate, and add() syncs
+        # Accounting windows are integrated by the executors' pre_sync
+        # hooks.  Empty executors have nothing to integrate, and add() syncs
         # before admitting — their clocks cannot go stale.  Iterate a
         # snapshot: completions inside sync() shrink the busy list.
         busy = self._busy
@@ -294,8 +293,8 @@ class Node:
         if self._m_flush is not None:
             self._m_flush.observe(len(deferred))
         engine = self.engine
-        for fn in deferred:
-            engine._post(0, fn, (), False)
+        for fn, args in deferred:
+            engine._post(0, fn, args, False)
         for fn in self._unfreeze_listeners:
             fn()
 
@@ -352,20 +351,23 @@ class Node:
                     proc.abort(NodeFailedError(exc_reason))
 
     # -- the wake-up gate (simx Process gate protocol) ------------------------
-    def deliver(self, fn: Callable[[], None]) -> None:
-        """Deliver a wake-up to host software: immediate (scheduled at +0)
-        when running, deferred to SMM exit when frozen.  A failed node
-        drops wake-ups entirely (dead silicon wakes nothing); a hung node
-        defers them forever (the queue that would flush at an SMM exit
-        that never comes)."""
+    def deliver(self, fn: Callable[..., None], args: tuple = ()) -> None:
+        """Deliver the wake-up ``fn(*args)`` to host software: immediate
+        (scheduled at +0) when running, deferred to SMM exit when frozen.
+        Passing the arguments separately lets callers hand over a bound
+        method and its arguments instead of allocating a closure per
+        wake-up (a process resumes with ``(proc._step, (value, exc))``).
+        A failed node drops wake-ups entirely (dead silicon wakes
+        nothing); a hung node defers them forever (the queue that would
+        flush at an SMM exit that never comes)."""
         if self._frozen:
             if self._failed:
                 return
-            self._deferred.append(fn)
+            self._deferred.append((fn, args))
             if self._m_deferred is not None:
                 self._m_deferred.value += 1
         else:
-            self.engine._post(0, fn, (), False)
+            self.engine._post(0, fn, args, False)
 
     # -- hotplug ----------------------------------------------------------
     def _on_hotplug(self, cpu_state) -> None:

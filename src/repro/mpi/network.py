@@ -184,5 +184,5 @@ class Network:
 
             self.engine.schedule_at(t_done, deliver_traced)
         else:
-            self.engine.schedule_at(t_done, lambda: dst.deliver(on_deliver))
+            self.engine._post(int(t_done) - now, dst.deliver, (on_deliver,), False)
         return t_done

@@ -41,11 +41,6 @@ class AccountingReport:
     def __init__(self, scheduler: "Scheduler"):
         self.scheduler = scheduler
 
-    def advance(self) -> None:
-        """Kept for interface symmetry: accounting windows are integrated
-        by the executors' pre_sync hooks, which every rate-changing path
-        already triggers; there is nothing to do here."""
-
     def snapshot(self) -> List[TaskTimes]:
         return [
             TaskTimes(t.name, t.acct.kernel_ns, t.acct.true_ns, t.acct.stolen_ns)

@@ -96,7 +96,7 @@ class Scheduler:
         node.scheduler = self
         node.add_unfreeze_listener(self._on_smm_exit)
         for cpu in node.cpus:
-            cpu.on_segment_done = self._segment_complete
+            cpu.executor.on_complete = self._segment_complete
             cpu.executor.pre_sync = self._make_account_hook(cpu)
         if enable_balancer:
             # Daemon: perpetual kernel work must not keep the engine alive.
@@ -147,22 +147,34 @@ class Scheduler:
 
     # -- placement ----------------------------------------------------------
     def start_segment(self, task: Task, item: WorkItem) -> None:
-        """Place a new compute segment (called from Task.compute)."""
+        """Place a new compute segment (called from Task.compute).
+
+        Lone-segment fast path: on a running node with no busy CPU and no
+        open rate batch, an unpinned segment lands on the first online CPU
+        (what :meth:`_pick_cpu` returns there) alone, so its rate is
+        :meth:`LogicalCpu.solo_rate` and :meth:`RateExecutor.add` can
+        admit it at that rate directly.  There is nothing to sync and no
+        other executor to defer, so the batch the general path opens
+        would only flush this one timer: the event stream is identical."""
         cpu = self._pick_cpu(task)
         if cpu is None:
             raise RuntimeError(
                 f"no online CPU satisfies affinity {task.affinity} on {self.node.name}"
             )
         node = self.node
-        node.begin_rate_batch()
-        try:
-            node.sync()
-            cpu.add_segment(item)
-            task.cpu = cpu
-            task.state = TaskState.RUNNING
-            node.apply_rates()
-        finally:
-            node.end_rate_batch()
+        if (task.affinity is None and not node._busy and not node._frozen
+                and node._batch_depth == 0):
+            cpu.executor.add(item, cpu.solo_rate(task.profile))
+        else:
+            node.begin_rate_batch()
+            try:
+                node.sync()
+                cpu.add_segment(item)
+                node.apply_rates()
+            finally:
+                node.end_rate_batch()
+        task.cpu = cpu
+        task.state = TaskState.RUNNING
         if self._m_placed is not None:
             self._m_placed.value += 1
             self._m_runnable.inc()
@@ -231,21 +243,23 @@ class Scheduler:
         # no-op recompute would only burn an event slot.
         if self.node._busy:
             self.engine._post(0, self.node.recompute, (), False)
-        # The departure may also have left an imbalance (this CPU idle
-        # while a neighbour is stacked) — idle balance.
-        self._maybe_idle_balance()
+            # The departure may also have left an imbalance (this CPU
+            # idle while a neighbour is stacked) — idle balance.
+            self._maybe_idle_balance()
 
     # -- accounting hook -----------------------------------------------------
     def _make_account_hook(self, cpu: "LogicalCpu"):
         node = self.node
+        # The executor's item list is mutated in place, never replaced.
+        items = cpu.executor.items
 
-        def hook(dt_ns: int, cpu=cpu) -> None:
-            k = len(cpu.executor)
+        def hook(dt_ns: int) -> None:
+            k = len(items)
             if k == 0:
                 return
             share = dt_ns / k
-            frozen = node.frozen
-            for item in cpu.executor.items:
+            frozen = node._frozen
+            for item in items:
                 item.meta.acct.add_window(share, frozen)
 
         return hook

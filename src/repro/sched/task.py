@@ -93,6 +93,7 @@ class Task:
         self.node = node
         self.scheduler = scheduler
         self.name = name
+        self._seg_name = f"{name}.seg"  # every compute segment's item name
         self.profile = profile
         self.affinity: Optional[frozenset[int]] = (
             frozenset(affinity) if affinity is not None else None
@@ -123,7 +124,7 @@ class Task:
             self.profile = profile
         try:
             item = WorkItem(
-                self.node.engine, work_units, meta=self, name=f"{self.name}.seg"
+                self.node.engine, work_units, meta=self, name=self._seg_name
             )
             self.current_item = item
             self.scheduler.start_segment(self, item)

@@ -28,8 +28,9 @@ by yielding one of:
 Gates
 -----
 A process may be constructed with a *gate* — any object with a method
-``deliver(fn: Callable[[], None]) -> None``.  Every resumption of the
-process is routed through the gate.  This is how System Management Mode is
+``deliver(fn: Callable[..., None], args: tuple = ()) -> None`` that
+eventually calls ``fn(*args)``.  Every resumption of the process is
+routed through the gate.  This is how System Management Mode is
 modeled: a node acts as the gate for every task process it hosts, and
 while the node's cores are frozen in SMM the gate queues wake-ups instead
 of delivering them (see :class:`repro.machine.node.Node`).  Hardware-level
@@ -357,7 +358,7 @@ class Process:
         if self.gate is None:
             self.engine._post(0, self._step, (value, exc), self.daemon)
         else:
-            self.gate.deliver(lambda: self._step(value, exc))
+            self.gate.deliver(self._step, (value, exc))
 
     def _step(self, value: Any, exc: Optional[BaseException]) -> None:
         if not self._alive:
@@ -401,7 +402,9 @@ class Process:
 
     def _wait_on(self, cmd: Any) -> None:
         cls = cmd.__class__
-        if cls is Delay:
+        if cls is Event:
+            self._wait_event(cmd)
+        elif cls is Delay:
             self._pending_handle = self.engine._post(
                 cmd.ns, self._resume, (None, None), self.daemon
             )

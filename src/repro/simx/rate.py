@@ -42,6 +42,17 @@ then ``int`` are each monotone in ``x``, an item at or below
 only ever cuts off the largest ETAs, so the minimum of the per-item ETAs
 is the ETA of the minimum.  Mixed rates take the per-item loop.
 
+Lone-segment fast path (DESIGN.md §3 "Performance")
+---------------------------------------------------
+Most MPI compute segments run alone on an idle node.  For those, the
+owner admits the item with :meth:`RateExecutor.add` at its final rate,
+outside any rate batch: on an empty executor that leaves the state the
+batched path leaves and pushes the same single timer.  When the timer
+fires and completes the executor's last item,
+:meth:`RateExecutor._on_timer` returns straight after :meth:`sync`,
+skipping the leftover scan and the reschedule of an empty executor,
+which would post nothing.  Every other case takes the general code.
+
 Rate-update coalescing (DESIGN.md §3 "Performance")
 ---------------------------------------------------
 A freeze/unfreeze or placement change used to trigger one full
@@ -124,7 +135,7 @@ class WorkItem:
             raise ValueError(f"negative demand: {demand}")
         self.demand = float(demand)
         self.remaining = float(demand)
-        self.done: Event = engine.event(name=f"{name}.done")
+        self.done: Event = Event(engine, f"{name}.done")
         self.meta = meta
         self.started_at: Optional[int] = None
         self.finished_at: Optional[int] = None
@@ -417,6 +428,10 @@ class RateExecutor:
     def _on_timer(self) -> None:
         self._timer = None
         self.sync()
+        if not self._items:
+            # The usual case, a lone item just completed: the leftover
+            # scan and the reschedule of an empty executor post nothing.
+            return
         # sync() completed whoever finished; if rounding left stragglers
         # within epsilon, finish them too.
         leftovers = None

@@ -5,6 +5,7 @@ import pytest
 from repro.machine.profile import WorkloadProfile
 from repro.machine.topology import R410_SPEC
 from repro.sched.scheduler import BALANCE_PERIOD_NS
+from repro.sched.task import TaskState
 from repro.system import make_machine
 
 REG = WorkloadProfile(name="reg", mem_ref_fraction=0.0, base_miss_rate=0.0,
@@ -246,3 +247,90 @@ def test_changed_placement_takes_full_path():
     m.scheduler.rebalance()
     assert [cpu.n_tasks for cpu in m.node.cpus[:2]] == [2, 2]
     assert m.scheduler._placement_is_greedy(_resident_items(m))
+
+
+# -- the lone-segment fast path ----------------------------------------------
+
+def _lone_segment(*, batched=False, degrade=None, smi_at_ns=None,
+                  affinity=None):
+    """Start one 10 ms segment on an idle node and run it to completion.
+
+    ``batched`` opens a rate batch around the placement, which forces the
+    general path; otherwise an unpinned segment takes the direct one.
+    Returns the state right after placement, the state after the run, and
+    the number of rate batches the placement opened."""
+    from repro.simx.rate import WorkItem
+
+    m = make_machine(R410_SPEC, enable_balancer=False)
+    node, sched, engine = m.node, m.scheduler, m.engine
+    if degrade is not None:
+        node.cpu(0).degrade(degrade)
+    if smi_at_ns is not None:
+        engine.schedule(smi_at_ns, node.smm.trigger, 2_000_000)
+    task = sched.create_task("t", REG, affinity=affinity)
+    item = WorkItem(engine, R410_SPEC.base_hz * 0.01, meta=task, name="t.seg")
+    batches = []
+    begin = node.begin_rate_batch
+    node.begin_rate_batch = lambda: (batches.append(1), begin())
+    if batched:
+        node.begin_rate_batch()
+        sched.start_segment(task, item)
+        node.end_rate_batch()
+    else:
+        sched.start_segment(task, item)
+    del node.begin_rate_batch
+    ex = task.cpu.executor
+    placed = ([r.hex() for r in ex._rate], ex._timer_time, engine._seq,
+              [c.index for c in node._busy], task.cpu.index, task.state)
+    engine.run()
+    acct = task.acct
+    done = (item.finished_at, acct.kernel_ns, acct.true_ns, acct.stolen_ns,
+            node._busy, task.state, engine._seq)
+    return placed, done, len(batches) - batched
+
+
+@pytest.mark.parametrize("degrade, smi_at_ns", [
+    (None, None), (0.5, None), (None, 3_000_000), (0.5, 3_000_000)])
+def test_lone_segment_direct_path_matches_batched_path(degrade, smi_at_ns):
+    """Placing a segment on an idle node without a rate batch gives the
+    same rate bits, timer, sequence numbers, finish time and accounting
+    as the general path — on a degraded CPU and across an SMI too."""
+    direct = _lone_segment(degrade=degrade, smi_at_ns=smi_at_ns)
+    general = _lone_segment(batched=True, degrade=degrade,
+                            smi_at_ns=smi_at_ns)
+    assert direct[2] == 0  # no rate batch: the direct path
+    assert direct[:2] == general[:2]
+    placed, done, _ = direct
+    assert placed[3] == [0] and placed[5] is TaskState.RUNNING
+    assert done[4] == [] and done[5] is TaskState.BLOCKED
+    if smi_at_ns is None:
+        # 10 ms of work at full rate, twice that on a half-rate CPU.
+        assert done[0] == (10_000_000 if degrade is None else 20_000_000)
+    else:
+        assert done[3] > 0  # the SMI landed mid-segment
+
+
+def test_pinned_task_takes_the_general_path():
+    pinned = _lone_segment(affinity={0})
+    assert pinned[2] == 1
+    assert pinned[:2] == _lone_segment()[:2]
+
+
+def test_frozen_node_takes_the_general_path():
+    from repro.simx.rate import WorkItem
+
+    m = make_machine(R410_SPEC, enable_balancer=False)
+    node, sched = m.node, m.scheduler
+    node.freeze()
+    task = sched.create_task("t", REG)
+    item = WorkItem(m.engine, R410_SPEC.base_hz * 0.01, meta=task)
+    batches = []
+    begin = node.begin_rate_batch
+    node.begin_rate_batch = lambda: (batches.append(1), begin())
+    sched.start_segment(task, item)
+    assert batches == [1]
+    assert task.cpu.executor._rate == [0.0]  # no progress inside SMM
+    del node.begin_rate_batch
+    node.unfreeze()
+    m.engine.run()
+    assert item.finished_at == 10_000_000
