@@ -35,17 +35,19 @@ Observability flags:
   (engine/SMM/scheduler/network counters and histograms);
   ``--metrics-format {text,json,prom}`` picks the rendering (``prom``
   is Prometheus textfile-collector exposition format).
-* ``--manifest [PATH]`` — write a JSON run manifest (seed, matrix,
-  calibration constants, per-cell timings); defaults to
-  ``<subcommand>.manifest.json``.
+* ``--manifest [PATH]`` — where the JSON run manifest (seed, matrix,
+  calibration constants, per-cell timings) goes; every table/figure run
+  writes one, by default ``<subcommand>.manifest.json``.
 
-Resilient-sweep flags (any of them routes the table/figure subcommands
-through `repro.runx`: crash-isolated worker subprocesses, a fsync'd
-checkpoint journal, and graceful degradation — failed cells render as
-"-" and the command exits 1 with a failure summary, never a traceback):
+Every table/figure subcommand runs its matrix through `repro.runx`:
+crash-isolated worker subprocesses, a fsync'd checkpoint journal next to
+the manifest (``<subcommand>.manifest.json`` by default), and graceful
+degradation — failed cells render as "-" and the command exits 1 with a
+failure summary, never a traceback.  These flags tune the sweep:
 
-* ``--jobs N`` — run up to N cells concurrently (bit-identical output
-  to ``--jobs 1``; cell seeds are position-derived).
+* ``--jobs N`` — run up to N cells concurrently (default: the CPUs this
+  process may use; bit-identical output to ``--jobs 1``, because cell
+  seeds are position-derived).
 * ``--timeout S`` — per-cell wall-clock watchdog.
 * ``--retries K`` — re-run failed cells up to K times (deterministic
   exponential backoff, per-attempt derived seeds).
@@ -61,7 +63,7 @@ checkpoint journal, and graceful degradation — failed cells render as
   (slowdown decomposition, wait-state census, critical-path summary)
   computed from a capture-enabled replay of the cell's first repetition.
 
-SIGINT/SIGTERM during a resilient sweep drains gracefully: in-flight
+SIGINT/SIGTERM during a sweep drains gracefully: in-flight
 cells finish and are journaled, then the command exits 130 with the
 ``--resume`` hint — never a torn sweep.  A second signal aborts hard.
 """
@@ -124,14 +126,15 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    default="text", help="metrics rendering: human text, "
                    "JSON snapshot, or Prometheus exposition format")
     p.add_argument("--manifest", nargs="?", const="auto", default=None,
-                   metavar="PATH", help="write a JSON run manifest "
+                   metavar="PATH", help="JSON run manifest path "
                    "(default <subcommand>.manifest.json)")
     resilient = p.add_argument_group(
         "resilient sweep (repro.runx)",
-        "any of these runs the sweep crash-isolated and checkpointed",
+        "every sweep runs crash-isolated and checkpointed; these tune it",
     )
     resilient.add_argument("--jobs", type=_positive_int, default=None,
-                           metavar="N", help="cells to run in parallel")
+                           metavar="N", help="cells to run in parallel "
+                           "(default: the CPUs this process may use)")
     resilient.add_argument("--timeout", type=_positive_float, default=None,
                            metavar="S",
                            help="per-cell wall-clock watchdog (seconds, > 0)")
@@ -161,17 +164,6 @@ def _setup_logging(verbosity: int) -> None:
     )
 
 
-def _obs_kwargs(args: argparse.Namespace, params: dict):
-    """(manifest, registry) per the common flags, plus handler kwargs."""
-    from repro.obs import MetricsRegistry, RunManifest
-
-    manifest = None
-    if getattr(args, "manifest", None) is not None:
-        manifest = RunManifest(command=args.cmd, params=params)
-    registry = MetricsRegistry() if getattr(args, "metrics", False) else None
-    return manifest, registry
-
-
 def _print_metrics(args: argparse.Namespace, registry) -> None:
     fmt = getattr(args, "metrics_format", "text")
     if fmt == "json":
@@ -185,43 +177,12 @@ def _print_metrics(args: argparse.Namespace, registry) -> None:
         print(registry.render())
 
 
-def _finish_obs(args: argparse.Namespace, manifest, registry) -> None:
-    if registry is not None:
-        _print_metrics(args, registry)
-    if manifest is not None:
-        path = args.manifest
-        if path == "auto":
-            path = f"{args.cmd}.manifest.json"
-        manifest.write(path)
-        print(f"manifest written to {path}", file=sys.stderr)
-
-
-def _resilient_requested(args: argparse.Namespace) -> bool:
-    import os
-
-    if any(
-        getattr(args, flag, None) is not None
-        for flag in ("jobs", "timeout", "retries", "resume", "fault_plan",
-                     "attr")
-    ):
-        return True
-    # A fault plan in the environment also opts in: model-level faults
-    # only make sense under the runner that understands failed-in-sim.
-    if hasattr(args, "fault_plan"):
-        from repro.faults import PLAN_ENV
-
-        return bool(os.environ.get(PLAN_ENV))
-    return False
-
-
 def _load_fault_plan(path: Optional[str]):
     """``(plan, resolved_path, error)`` for a ``--fault-plan``/env path —
     all ``None`` when no plan is configured, ``error`` set on a bad one."""
     from repro.faults import PLAN_ENV, FaultPlan
 
     if path is None:
-        import os
-
         path = os.environ.get(PLAN_ENV) or None
     if not path:
         return None, None, None
@@ -272,9 +233,18 @@ def _with_attr(specs):
     return out
 
 
+def _default_jobs() -> int:
+    """The CPUs this process may run on.  The runner starts no more
+    workers than there are cells, so a small sweep spawns fewer."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
 def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
                    extra_params: Optional[dict] = None) -> int:
-    """Shared driver for all table/figure subcommands in runx mode.
+    """Shared driver for all table/figure subcommands.
 
     ``specs_fn(quick, reps, seed)`` builds the cell specs;
     ``render_fn(quick, results)`` reduces ``{id: CellResult}`` to the
@@ -283,7 +253,6 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
     finalized atomically and the journal removed, otherwise the journal
     stays behind for ``--resume`` and the exit code is 1.
     """
-    import os
     import signal
 
     from repro.obs import MetricsRegistry, RunManifest
@@ -348,7 +317,7 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
         print(f"error: {plan_err}", file=sys.stderr)
         return 2
 
-    jobs = args.jobs or 1
+    jobs = args.jobs or _default_jobs()
     retries = args.retries or 0
     manifest_path = args.resume or args.manifest
     if manifest_path in (None, "auto"):
@@ -367,7 +336,7 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
         specs, hit = _with_faults(specs, plan)
         print(f"fault plan {fault_plan_path}: {len(plan.rules)} rules, "
               f"{hit}/{len(specs)} cells armed", file=sys.stderr)
-    manifest = RunManifest(command=args.cmd, params=params, mode="journal")
+    manifest = RunManifest(command=args.cmd, params=params)
     for spec in specs:
         manifest.plan_cell(id=spec.id, fn=spec.fn,
                            base_seed=spec.base_seed, **spec.params)
@@ -443,96 +412,6 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
         return 1
     journal.finalize()
     print(f"manifest written to {manifest_path}", file=sys.stderr)
-    return 0
-
-
-def _mpi_table(bench: str, args: argparse.Namespace) -> int:
-    from repro.harness.mpi_tables import build_table, render
-
-    if _resilient_requested(args):
-        from repro.harness.mpi_tables import assemble_table, table_cell_specs
-
-        return _resilient_run(
-            args,
-            lambda quick, reps, seed: table_cell_specs(bench, quick, reps, seed),
-            lambda quick, results: render(
-                bench, assemble_table(bench, quick, results), csv=args.csv),
-            extra_params={"bench": bench},
-        )
-    reps = args.reps if args.reps is not None else (1 if args.quick else 3)
-    manifest, registry = _obs_kwargs(
-        args, {"bench": bench, "quick": args.quick, "reps": reps,
-               "seed": args.seed})
-    halves = build_table(bench, quick=args.quick, reps=reps, seed=args.seed,
-                         manifest=manifest, metrics=registry)
-    print(render(bench, halves, csv=args.csv))
-    _finish_obs(args, manifest, registry)
-    return 0
-
-
-def _htt_table(bench: str, args: argparse.Namespace) -> int:
-    from repro.harness.htt_tables import build_htt_table, render_htt
-
-    if _resilient_requested(args):
-        from repro.harness.htt_tables import assemble_htt_table, htt_cell_specs
-
-        return _resilient_run(
-            args,
-            lambda quick, reps, seed: htt_cell_specs(bench, quick, reps, seed),
-            lambda quick, results: render_htt(
-                bench, assemble_htt_table(bench, quick, results)),
-            extra_params={"bench": bench, "ranks_per_node": 4},
-        )
-    reps = args.reps if args.reps is not None else (1 if args.quick else 3)
-    manifest, registry = _obs_kwargs(
-        args, {"bench": bench, "quick": args.quick, "reps": reps,
-               "seed": args.seed, "ranks_per_node": 4})
-    rows = build_htt_table(bench, quick=args.quick, reps=reps, seed=args.seed,
-                           manifest=manifest, metrics=registry)
-    print(render_htt(bench, rows))
-    _finish_obs(args, manifest, registry)
-    return 0
-
-
-def _figure1(args: argparse.Namespace) -> int:
-    from repro.harness.figure1 import build_figure1, render_figure1
-
-    if _resilient_requested(args):
-        from repro.harness.figure1 import assemble_figure1, figure1_cell_specs
-
-        return _resilient_run(
-            args,
-            lambda quick, reps, seed: figure1_cell_specs(quick, seed),
-            lambda quick, results: render_figure1(
-                assemble_figure1(quick, results), csv=args.csv),
-        )
-    manifest, registry = _obs_kwargs(
-        args, {"quick": args.quick, "seed": args.seed})
-    data = build_figure1(quick=args.quick, seed=args.seed,
-                         manifest=manifest, metrics=registry)
-    print(render_figure1(data, csv=args.csv))
-    _finish_obs(args, manifest, registry)
-    return 0
-
-
-def _figure2(args: argparse.Namespace) -> int:
-    from repro.harness.figure2 import build_figure2, render_figure2
-
-    if _resilient_requested(args):
-        from repro.harness.figure2 import assemble_figure2, figure2_cell_specs
-
-        return _resilient_run(
-            args,
-            lambda quick, reps, seed: figure2_cell_specs(quick, seed),
-            lambda quick, results: render_figure2(
-                assemble_figure2(quick, results), csv=args.csv),
-        )
-    manifest, registry = _obs_kwargs(
-        args, {"quick": args.quick, "seed": args.seed})
-    data = build_figure2(quick=args.quick, seed=args.seed,
-                         manifest=manifest, metrics=registry)
-    print(render_figure2(data, csv=args.csv))
-    _finish_obs(args, manifest, registry)
     return 0
 
 
@@ -655,28 +534,32 @@ def _explain(args: argparse.Namespace) -> int:
     return 0
 
 
+#: table subcommand -> NAS benchmark: the MPI study (Tables 1–3) and the
+#: HTT × SMI study at 4 ranks per node (Tables 4–5).
+_MPI_TABLES = {"table1": "BT", "table2": "EP", "table3": "FT"}
+_HTT_TABLES = {"table4": "EP", "table5": "FT"}
+
+
 def _sweep_builders(what: str, csv: bool):
-    """``(specs_fn, render_fn)`` for a submittable sweep name — the same
-    builders the table/figure subcommands use, so a served sweep renders
+    """``(specs_fn, render_fn)`` for a table/figure sweep name — shared by
+    the local subcommands and ``submit``, so a served sweep renders
     byte-identically to a local one."""
-    mpi = {"table1": "BT", "table2": "EP", "table3": "FT"}
-    htt = {"table4": "EP", "table5": "FT"}
-    if what in mpi:
+    if what in _MPI_TABLES:
         from repro.harness.mpi_tables import (
             assemble_table, render, table_cell_specs)
 
-        bench = mpi[what]
+        bench = _MPI_TABLES[what]
         return (
             lambda quick, reps, seed: table_cell_specs(
                 bench, quick, reps, seed),
             lambda quick, results: render(
                 bench, assemble_table(bench, quick, results), csv=csv),
         )
-    if what in htt:
+    if what in _HTT_TABLES:
         from repro.harness.htt_tables import (
             assemble_htt_table, htt_cell_specs, render_htt)
 
-        bench = htt[what]
+        bench = _HTT_TABLES[what]
         return (
             lambda quick, reps, seed: htt_cell_specs(
                 bench, quick, reps, seed),
@@ -684,24 +567,37 @@ def _sweep_builders(what: str, csv: bool):
                 bench, assemble_htt_table(bench, quick, results)),
         )
     if what == "figure1":
-        from repro.harness.figure1 import assemble_figure1, figure1_cell_specs
+        from repro.harness.figure1 import (
+            assemble_figure1, figure1_cell_specs, render_figure1)
 
         return (
             lambda quick, reps, seed: figure1_cell_specs(quick, seed),
-            lambda quick, results: __import__(
-                "repro.harness.figure1", fromlist=["render_figure1"],
-            ).render_figure1(assemble_figure1(quick, results), csv=csv),
+            lambda quick, results: render_figure1(
+                assemble_figure1(quick, results), csv=csv),
         )
     if what == "figure2":
-        from repro.harness.figure2 import assemble_figure2, figure2_cell_specs
+        from repro.harness.figure2 import (
+            assemble_figure2, figure2_cell_specs, render_figure2)
 
         return (
             lambda quick, reps, seed: figure2_cell_specs(quick, seed),
-            lambda quick, results: __import__(
-                "repro.harness.figure2", fromlist=["render_figure2"],
-            ).render_figure2(assemble_figure2(quick, results), csv=csv),
+            lambda quick, results: render_figure2(
+                assemble_figure2(quick, results), csv=csv),
         )
     raise ValueError(f"unknown sweep {what!r}")
+
+
+def _artifact(args: argparse.Namespace) -> int:
+    """Any table/figure subcommand: its matrix as a sweep, rendered by
+    the same builders ``submit`` uses."""
+    if args.cmd in _MPI_TABLES:
+        extra = {"bench": _MPI_TABLES[args.cmd]}
+    elif args.cmd in _HTT_TABLES:
+        extra = {"bench": _HTT_TABLES[args.cmd], "ranks_per_node": 4}
+    else:
+        extra = None
+    return _resilient_run(args, *_sweep_builders(args.cmd, args.csv),
+                          extra_params=extra)
 
 
 def _parse_hostport(text: str):
@@ -1009,20 +905,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="-v: INFO logging to stderr, -vv: DEBUG",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for bench, name in (("BT", "table1"), ("EP", "table2"), ("FT", "table3")):
-        p = sub.add_parser(name, help=f"{bench} MPI table")
+    artifacts = {
+        **{name: f"{bench} MPI table" for name, bench in _MPI_TABLES.items()},
+        **{name: f"HTT × SMI table for {bench}"
+           for name, bench in _HTT_TABLES.items()},
+        "figure1": "Convolve sweeps",
+        "figure2": "UnixBench sweeps",
+    }
+    for name, text in artifacts.items():
+        p = sub.add_parser(name, help=text)
         _add_common(p)
-        p.set_defaults(fn=lambda a, b=bench: _mpi_table(b, a))
-    for bench, name in (("EP", "table4"), ("FT", "table5")):
-        p = sub.add_parser(name, help=f"HTT × SMI table for {bench}")
-        _add_common(p)
-        p.set_defaults(fn=lambda a, b=bench: _htt_table(b, a))
-    p = sub.add_parser("figure1", help="Convolve sweeps")
-    _add_common(p)
-    p.set_defaults(fn=_figure1)
-    p = sub.add_parser("figure2", help="UnixBench sweeps")
-    _add_common(p)
-    p.set_defaults(fn=_figure2)
+        p.set_defaults(fn=_artifact)
     p = sub.add_parser(
         "trace", help="run one scenario and export a Perfetto/Chrome trace")
     p.add_argument("--bench", default="EP", choices=("EP", "BT", "FT"))

@@ -15,7 +15,6 @@ reducer produces the paper-style row.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass, field
 from statistics import mean, stdev
 from typing import Callable, Dict, List, Optional, Sequence
@@ -26,8 +25,6 @@ __all__ = [
     "ExperimentResult",
     "run_repeated",
     "run_matrix",
-    "default_reps",
-    "reps_from_env",
     "rep_seed",
     "smm_cell_seed",
 ]
@@ -35,7 +32,7 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 #: The paper uses 6 repetitions; simulations are deterministic apart from
-#: seeded jitter, so harnesses default lower and honour REPRO_BENCH_REPS.
+#: seeded jitter, so the CLI defaults lower (``--reps`` overrides).
 PAPER_REPS = 6
 
 #: Per-repetition and per-SMI-class seed strides.  These are *positional*
@@ -56,34 +53,6 @@ def rep_seed(base_seed: int, rep: int) -> int:
 def smm_cell_seed(seed: int, smm: int, htt: bool = False) -> int:
     """Base seed of the (smm, htt) cell of a table row."""
     return seed + SMM_SEED_STRIDE * smm + (HTT_SEED_OFFSET if htt else 0)
-
-
-def reps_from_env(var: str = "REPRO_BENCH_REPS") -> Optional[int]:
-    """Validated repetition override from the environment, or None.
-
-    The single source of truth for ``$REPRO_BENCH_REPS`` parsing (both
-    the harness knobs and :func:`default_reps` use it): non-numeric or
-    non-positive values raise a ``ValueError`` that names the variable
-    and the offending text instead of a bare ``int()`` traceback.
-    """
-    v = os.environ.get(var)
-    if not v:
-        return None
-    try:
-        n = int(v)
-    except ValueError:
-        raise ValueError(
-            f"{var} must be a positive integer, got {v!r}"
-        ) from None
-    if n < 1:
-        raise ValueError(f"{var} must be >= 1, got {n}")
-    return n
-
-
-def default_reps(fallback: int = 3) -> int:
-    """Repetitions to use: $REPRO_BENCH_REPS, or ``fallback``."""
-    n = reps_from_env()
-    return n if n is not None else fallback
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,8 @@
-"""repro.harness — shared experiment builders for Tables 1–5 and Figures 1–2.
+"""repro.harness — the paper's seven artifacts as sweeps.
 
-Both the CLI (``repro-smm table1`` …) and the pytest benchmark suite
-(``benchmarks/``) drive these builders, so the artifacts are regenerated
-identically from either entry point.
-
-Scaling knobs (environment):
-
-* ``REPRO_BENCH_FULL=1`` — run the paper's full matrix (all classes, all
-  rows, 30-point Figure 1 sweep).  Default is the *quick* matrix: class A
-  (which exhibits every shape the paper reports, at the highest
-  noise-to-compute ratio), all row counts, coarser sweeps.
-* ``REPRO_BENCH_REPS=N`` — repetitions per cell (paper: 6; default 1 for
-  quick, 3 for full — the simulator's only run-to-run variance is the
-  seeded SMI phase/duration jitter).
+One module per artifact family turns its matrix into serializable
+`repro.runx` cell specs (``*_cell_specs``), reduces the runner's
+``{cell_id: CellResult}`` back into rows or series (``assemble_*``), and
+renders them next to the paper's values.  Every ``repro-smm`` table and
+figure subcommand, and ``repro-smm submit``, runs through these.
 """
-
-from repro.harness.common import bench_full, bench_reps
-
-__all__ = ["bench_full", "bench_reps"]

@@ -1,4 +1,4 @@
-"""Builder for Figure 1 (Convolve experiments).
+"""Figure 1 (Convolve experiments) as `repro.runx` cell specs.
 
 Left graphs: execution time vs SMI interval (long SMIs, the paper sweeps
 50–1500 ms in 50 ms steps), one line per logical-CPU configuration.
@@ -10,24 +10,18 @@ the variance).  Both for the CacheUnfriendly (top) and CacheFriendly
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis.figures import Series, ascii_chart, series_csv
-from repro.apps.convolve import CACHE_FRIENDLY, CACHE_UNFRIENDLY, ConvolveConfig, run_convolve
-from repro.core.smi import SmiProfile
-from repro.harness.common import bench_full
+from repro.apps.convolve import CACHE_FRIENDLY, CACHE_UNFRIENDLY
 
 __all__ = [
     "Figure1Data",
-    "build_figure1",
     "render_figure1",
     "figure1_cell_specs",
     "assemble_figure1",
 ]
-
-log = logging.getLogger(__name__)
 
 _CPU_CONFIGS_QUICK = (1, 2, 4, 8)
 _CPU_CONFIGS_FULL = (1, 2, 3, 4, 5, 6, 7, 8)
@@ -48,61 +42,6 @@ class Figure1Data:
     #: config name -> Series over CPU count at 50 ms interval (per seed).
     right: Dict[str, List[Series]] = field(default_factory=dict)
     baselines: Dict[str, Dict[int, float]] = field(default_factory=dict)
-
-
-def build_figure1(quick: bool = True, seed: int = 1, reps_right: int = 3,
-                  manifest=None, metrics=None) -> Figure1Data:
-    cpus = _CPU_CONFIGS_QUICK if quick else _CPU_CONFIGS_FULL
-    intervals = _intervals(quick)
-    data = Figure1Data()
-    for config in (CACHE_UNFRIENDLY, CACHE_FRIENDLY):
-        # Left panel: time vs interval per CPU config.
-        lines: List[Series] = []
-        data.baselines[config.name] = {}
-        for k in cpus:
-            log.info("figure1 left %s cpus=%d (%d intervals)",
-                     config.name, k, len(intervals))
-            base = run_convolve(config, k, seed=seed, metrics=metrics).elapsed_s
-            data.baselines[config.name][k] = base
-            if manifest is not None:
-                manifest.plan_cell(config=config.name, cpus=k, panel="left",
-                                   intervals_ms=list(intervals), seed=seed)
-                manifest.add_cell(f"{config.name} {k}cpu baseline", mean_s=base)
-            s = Series(label=f"{k}cpu")
-            for iv in intervals:
-                r = run_convolve(
-                    config, k, smi_durations=SmiProfile.LONG,
-                    smi_interval_jiffies=iv, seed=seed, metrics=metrics,
-                )
-                s.add(iv, r.elapsed_s)
-                if manifest is not None:
-                    manifest.add_cell(
-                        f"{config.name} {k}cpu iv={iv}ms", mean_s=r.elapsed_s)
-            lines.append(s)
-        data.left[config.name] = lines
-        # Right panel: time vs CPUs at the fixed 50 ms interval, 3 runs.
-        runs: List[Series] = []
-        for rep in range(reps_right):
-            log.info("figure1 right %s run=%d", config.name, rep + 1)
-            if manifest is not None:
-                manifest.plan_cell(config=config.name, panel="right",
-                                   run=rep + 1, cpus=list(cpus),
-                                   interval_ms=50, seed=seed + 101 * (rep + 1))
-            s = Series(label=f"run{rep + 1}")
-            for k in cpus:
-                r = run_convolve(
-                    config, k, smi_durations=SmiProfile.LONG,
-                    smi_interval_jiffies=50, seed=seed + 101 * (rep + 1),
-                    metrics=metrics,
-                )
-                s.add(k, r.elapsed_s)
-                if manifest is not None:
-                    manifest.add_cell(
-                        f"{config.name} run{rep + 1} {k}cpu @50ms",
-                        mean_s=r.elapsed_s)
-            runs.append(s)
-        data.right[config.name] = runs
-    return data
 
 
 def figure1_cell_specs(quick: bool, seed: int, reps_right: int = 3) -> List:

@@ -1,30 +1,25 @@
-"""Builder for Figure 2 (UnixBench under SMI noise).
+"""Figure 2 (UnixBench under SMI noise) as `repro.runx` cell specs.
 
 The paper measures SMI intervals "from 100ms to 1600ms at 500 ms
 increments" for each CPU configuration and plots the total index score
 (higher is better) against the gap between SMIs; short SMIs showed no
-effect (§IV.C) — the harness also verifies that claim.
+effect (§IV.C) — each cell also records the short-SMI index at 100 ms
+so that claim can be checked.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis.figures import Series, ascii_chart, series_csv
-from repro.apps.unixbench import run_unixbench
-from repro.core.smi import SmiProfile
 
 __all__ = [
     "Figure2Data",
-    "build_figure2",
     "render_figure2",
     "figure2_cell_specs",
     "assemble_figure2",
 ]
-
-log = logging.getLogger(__name__)
 
 _INTERVALS = (100, 600, 1100, 1600)  # the paper's grid
 _CPU_CONFIGS_QUICK = (1, 2, 4, 8)
@@ -40,32 +35,6 @@ class Figure2Data:
     #: short-SMI index per CPU config at the fastest interval (the paper's
     #: "no noticeable effect" check).
     short_at_100ms: Dict[int, float] = field(default_factory=dict)
-
-
-def build_figure2(quick: bool = True, seed: int = 1,
-                  manifest=None, metrics=None) -> Figure2Data:
-    cpus = _CPU_CONFIGS_QUICK if quick else _CPU_CONFIGS_FULL
-    data = Figure2Data()
-    for k in cpus:
-        log.info("figure2 cpus=%d", k)
-        if manifest is not None:
-            manifest.plan_cell(cpus=k, intervals_ms=list(_INTERVALS), seed=seed)
-        data.baselines[k] = run_unixbench(k, seed=seed, metrics=metrics).total_index
-        data.short_at_100ms[k] = run_unixbench(
-            k, SmiProfile.SHORT, 100, seed=seed, metrics=metrics
-        ).total_index
-        if manifest is not None:
-            manifest.add_cell(f"{k}cpu baseline", index=data.baselines[k])
-            manifest.add_cell(f"{k}cpu short@100ms",
-                              index=data.short_at_100ms[k])
-        s = Series(label=f"{k}cpu")
-        for iv in _INTERVALS:
-            r = run_unixbench(k, SmiProfile.LONG, iv, seed=seed, metrics=metrics)
-            s.add(iv, r.total_index)
-            if manifest is not None:
-                manifest.add_cell(f"{k}cpu long@{iv}ms", index=r.total_index)
-        data.long_series.append(s)
-    return data
 
 
 def figure2_cell_specs(quick: bool, seed: int) -> List:

@@ -1,88 +1,29 @@
-"""Builders for Tables 4–5 (HTT × SMI at 4 ranks per node).
+"""Tables 4–5 (HTT × SMI at 4 ranks per node) as `repro.runx` cell specs.
 
-Like :mod:`repro.harness.mpi_tables`, the matrix exists in two forms
-with identical seeds: the legacy in-process :func:`build_htt_table`, and
-:func:`htt_cell_specs` + :func:`assemble_htt_table` for the resilient
-`repro.runx` path.
+Like :mod:`repro.harness.mpi_tables`: :func:`htt_cell_specs` lays out the
+matrix, :func:`assemble_htt_table` reduces the results into rows, and
+:func:`render_htt` prints them.
 """
 
 from __future__ import annotations
 
-import logging
 from statistics import mean
 from typing import Dict, List, Optional
 
 from repro.analysis.tables import HttRow, render_htt_table
 from repro.apps.nas.params import NasClass
-from repro.apps.nas.study import NasConfig, run_nas_config
-from repro.core.experiment import run_repeated, smm_cell_seed
+from repro.core.experiment import smm_cell_seed
 from repro.paperdata import TABLE4_EP_HTT, TABLE5_FT_HTT
 
 __all__ = [
-    "build_htt_table",
     "render_htt",
     "htt_cell_specs",
     "assemble_htt_table",
 ]
 
-log = logging.getLogger(__name__)
-
 _PAPER = {"EP": TABLE4_EP_HTT, "FT": TABLE5_FT_HTT}
 _TABLE_NO = {"EP": 4, "FT": 5}
 _ROWS = (1, 2, 4, 8, 16)
-
-
-def build_htt_table(
-    bench: str,
-    quick: bool = True,
-    reps: int = 1,
-    seed: int = 1,
-    progress=None,
-    manifest=None,
-    metrics=None,
-) -> List[HttRow]:
-    classes = [NasClass.A] if quick else [NasClass.A, NasClass.B, NasClass.C]
-    rows: List[HttRow] = []
-    for cls in classes:
-        for row in _ROWS:
-            cells: Dict[int, tuple] = {}
-            for smm in (0, 1, 2):
-                pair = []
-                for htt in (False, True):
-                    if progress:
-                        progress(f"{bench}.{cls.value} row={row} smm={smm} ht={int(htt)}")
-                    log.info("cell %s.%s row=%d smm=%d ht=%d reps=%d",
-                             bench, cls.value, row, smm, int(htt), reps)
-                    if manifest is not None:
-                        manifest.plan_cell(
-                            bench=bench, cls=cls.value, nodes=row,
-                            ranks_per_node=4, htt=htt, smm=smm, reps=reps,
-                            base_seed=smm_cell_seed(seed, smm, htt),
-                        )
-                    cfg = NasConfig(bench, cls, nodes=row, ranks_per_node=4, htt=htt)
-                    m = run_repeated(
-                        lambda s, cfg=cfg, smm=smm: run_nas_config(
-                            cfg, smm=smm, seed=s, metrics=metrics),
-                        reps=reps,
-                        base_seed=smm_cell_seed(seed, smm, htt),
-                    )
-                    pair.append(m.mean if m is not None else None)
-                    if manifest is not None:
-                        manifest.add_cell(
-                            f"{bench}.{cls.value} n={row} smm={smm} ht={int(htt)}",
-                            mean_s=m.mean if m is not None else None,
-                            values_s=m.values if m is not None else None,
-                        )
-                cells[smm] = tuple(pair)
-            rows.append(
-                HttRow(
-                    cls=cls.value,
-                    row=row,
-                    cells=cells,
-                    paper=_PAPER[bench].get((cls, row)),
-                )
-            )
-    return rows
 
 
 def htt_cell_specs(bench: str, quick: bool, reps: int, seed: int) -> List:

@@ -12,17 +12,17 @@ needed to re-run the exact cell matrix of a harness invocation —
 * the planned cell matrix, and
 * per-cell results with wall-clock build times.
 
-Manifests are plain JSON; ``repro-smm table2 --manifest out.json`` writes
-one next to the table output.
+Manifests are plain JSON; every ``repro-smm`` table/figure run writes
+one (``<subcommand>.manifest.json``, or the path ``--manifest`` names).
 
 Schema v2 (the `repro.runx` resilient runner):
 
 * cells may carry ``id``/``status``/``attempts``/``duration_s``/``seed``
   — everything ``--resume`` needs to skip finished work and re-run the
   rest with the recorded seeds;
-* ``mode`` records how the manifest was produced: ``"direct"`` (legacy
-  in-process build) or ``"journal"`` (checkpointed sweep — while the run
-  is live the same cells exist as ``<path>.part.jsonl`` lines);
+* ``mode`` records how the manifest was produced: ``"journal"``
+  (checkpointed sweep — while the run is live the same cells exist as
+  ``<path>.part.jsonl`` lines) or ``"served"`` (``repro-smm submit``);
 * ``elapsed_monotonic_s`` reports honest run duration from a monotonic
   clock (``wall_s`` is kept for v1 compatibility), and resumed runs add
   only their own elapsed time instead of inheriting the killed run's
@@ -110,9 +110,9 @@ class RunManifest:
     created_unix: float = 0.0
     wall_s: Optional[float] = None
     schema: int = MANIFEST_SCHEMA
-    #: "direct" = legacy in-process build; "journal" = checkpointed
-    #: `repro.runx` sweep (cells mirror the journal's records).
-    mode: str = "direct"
+    #: "journal" = checkpointed `repro.runx` sweep (cells mirror the
+    #: journal's records); "served" = results fetched from a daemon.
+    mode: str = "journal"
 
     def __post_init__(self) -> None:
         if not self.version:

@@ -6,9 +6,10 @@ or by ``"module:function"`` dotted path (the escape hatch tests and
 extensions use), so a worker subprocess can reconstruct the call from
 nothing but the spec JSON.
 
-The executors here wrap the same application runners the legacy serial
-builders call, with the same seed derivations — which is what makes runx
-output bit-identical to the in-process path.
+The executors wrap the application runners with position-derived seeds
+(:func:`~repro.core.experiment.rep_seed` per repetition), so a cell's
+payload depends on its spec alone — which is what makes ``--jobs N``,
+resumed, inline, and served sweeps bit-identical.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
     harness's ``--fault-plan`` rewrite) the repetitions run with a fresh
     seeded :class:`~repro.faults.FaultInjector` each, and a run killed by
     its faults raises :class:`~repro.faults.FaultedRunError` so the runner
-    records the cell ``failed-in-sim``.  Without faults this is exactly
-    the legacy path.
+    records the cell ``failed-in-sim``.
 
     When the spec carries ``params["attr"]`` (the harness's ``--attr``
     rewrite) each noisy cell additionally runs the attribution engine and

@@ -7,7 +7,6 @@ from repro.core.experiment import (
     Measurement,
     run_matrix,
     run_repeated,
-    default_reps,
 )
 
 
@@ -54,13 +53,3 @@ def test_run_matrix_full_protocol():
     # every (case, smm) measured (reps collapsed for infeasible cells)
     assert log.count(("a", 0)) == 2
     assert log.count(("b", 2)) == 1
-
-
-def test_default_reps_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_REPS", raising=False)
-    assert default_reps(3) == 3
-    monkeypatch.setenv("REPRO_BENCH_REPS", "6")
-    assert default_reps(3) == 6
-    monkeypatch.setenv("REPRO_BENCH_REPS", "0")
-    with pytest.raises(ValueError):
-        default_reps()

@@ -1,44 +1,10 @@
-"""Harness builders and the CLI front end (smallest real invocations)."""
+"""Harness specs/renderers and the CLI front end (smallest real invocations)."""
 
 import pytest
 
 from repro.apps.nas.params import NasClass
 from repro.cli import main
-from repro.harness.common import bench_full, bench_reps
 from repro.harness.mpi_tables import table_rows_spec
-
-
-def test_bench_knobs_env(monkeypatch):
-    monkeypatch.delenv("REPRO_BENCH_FULL", raising=False)
-    monkeypatch.delenv("REPRO_BENCH_REPS", raising=False)
-    assert not bench_full()
-    assert bench_reps() == 1
-    monkeypatch.setenv("REPRO_BENCH_FULL", "1")
-    assert bench_full()
-    assert bench_reps() == 3
-    monkeypatch.setenv("REPRO_BENCH_REPS", "6")
-    assert bench_reps() == 6
-
-
-def test_bench_reps_env_validation(monkeypatch):
-    """Both REPRO_BENCH_REPS consumers share one validated parser: bad
-    input names the variable and the text instead of a bare int() error."""
-    from repro.core.experiment import default_reps, reps_from_env
-
-    monkeypatch.setenv("REPRO_BENCH_REPS", "six")
-    with pytest.raises(ValueError, match=r"REPRO_BENCH_REPS.*'six'"):
-        bench_reps()
-    with pytest.raises(ValueError, match=r"REPRO_BENCH_REPS.*'six'"):
-        default_reps()
-    monkeypatch.setenv("REPRO_BENCH_REPS", "0")
-    with pytest.raises(ValueError, match="must be >= 1"):
-        reps_from_env()
-    monkeypatch.setenv("REPRO_BENCH_REPS", "4")
-    assert reps_from_env() == 4
-    assert default_reps(fallback=2) == 4
-    monkeypatch.delenv("REPRO_BENCH_REPS")
-    assert reps_from_env() is None
-    assert default_reps(fallback=2) == 2
 
 
 def test_table_rows_spec_quick_vs_full():
@@ -68,8 +34,8 @@ def test_cli_requires_subcommand():
 
 
 def test_figure2_renderers():
-    """Figure-2 rendering paths on synthetic data (the full build is a
-    benchmark, not a unit test)."""
+    """Figure-2 rendering paths on synthetic data (the full sweep runs in
+    tests/integration/test_artifact_shapes.py)."""
     from repro.analysis.figures import Series
     from repro.harness.figure2 import Figure2Data, render_figure2
 

@@ -37,19 +37,31 @@ def test_cli_table_manifest_and_metrics(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["table2", "--quick", "--metrics", "--manifest"]) == 0
     printed = capsys.readouterr().out
-    assert "engine.events.fired" in printed
+    table, _, metrics = printed.partition("\n-- metrics ")
+    assert "Table 2" in table
+    # Simulation counters come from the worker processes' snapshots,
+    # merged into the command's registry.
+    values = dict(line.split()[:2] for line in metrics.splitlines()[1:])
+    for name in ("smm.entries", "net.messages", "engine.events.fired"):
+        assert float(values[name]) > 0, name
     man = json.loads((tmp_path / "table2.manifest.json").read_text())
     assert man["command"] == "table2"
-    assert man["matrix"] and man["cells"]
+    assert man["params"]["bench"] == "EP"
+    n_cells = 2 * 5 * 3  # ranks/node halves × rows × SMI classes
+    assert len(man["matrix"]) == len(man["cells"]) == n_cells
+    assert all("base_seed" in c for c in man["matrix"])
     assert "calibration" in man
 
 
-def test_cli_manifest_explicit_path(tmp_path):
+def test_cli_manifest_explicit_path(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "custom.json"
     assert main(["figure2", "--quick", "--manifest", str(path)]) == 0
     man = json.loads(path.read_text())
     assert man["command"] == "figure2"
-    assert any("baseline" in c["label"] for c in man["cells"])
+    assert sorted(c["id"] for c in man["cells"]) == [
+        f"figure2 {k}cpu" for k in (1, 2, 4, 8)]
+    assert all("baseline" in c["value"] for c in man["cells"])
 
 
 def test_verbose_flag_enables_harness_logging(tmp_path, capsys, monkeypatch):
@@ -62,7 +74,9 @@ def test_verbose_flag_enables_harness_logging(tmp_path, capsys, monkeypatch):
     try:
         assert main(["-v", "figure2", "--quick"]) == 0
         err = capsys.readouterr().err
-        assert "repro.harness.figure2" in err
+        # the sweep runner's per-cell progress lines
+        assert "] figure2 1cpu" in err
+        assert "[4/4] figure2 " in err
     finally:
         root.handlers[:] = old
 

@@ -101,18 +101,25 @@ def test_manifest_matrix_is_sufficient_to_rerun_a_cell():
 
 
 def test_harness_builder_fills_manifest_and_metrics():
-    from repro.harness.mpi_tables import build_table
+    from repro.harness.mpi_tables import assemble_table, table_cell_specs
     from repro.obs import MetricsRegistry
+    from repro.runx import SweepRunner
 
     m = RunManifest(command="table2", params={"quick": True})
     reg = MetricsRegistry()
-    halves = build_table("EP", quick=True, reps=1, seed=1,
-                         manifest=m, metrics=reg)
+    specs = table_cell_specs("EP", quick=True, reps=1, seed=1)
+    for spec in specs:
+        m.plan_cell(id=spec.id, fn=spec.fn, base_seed=spec.base_seed,
+                    **spec.params)
+    with SweepRunner(jobs=2, metrics=reg, manifest=m) as runner:
+        results = runner.run(specs)
+    halves = assemble_table("EP", True, results)
     assert set(halves) == {1, 4}
     n_cells = sum(3 * len(rows) for rows in halves.values())
     assert len(m.matrix) == n_cells
     assert len(m.cells) == n_cells
     assert all("base_seed" in c for c in m.matrix)
+    # Simulation counters arrive as worker snapshots merged into reg.
     assert reg.get("smm.entries").value > 0
     assert reg.get("net.messages").value > 0
     assert reg.get("engine.events.fired").value > 0

@@ -8,6 +8,7 @@ acceptance criteria, verbatim.
 
 import json
 import os
+import pathlib
 import signal
 import subprocess
 import sys
@@ -20,13 +21,10 @@ from repro.runx.chaos import PLAN_ENV, FaultPlan
 
 
 @pytest.fixture(scope="module")
-def legacy_table2():
-    """The uninterrupted legacy serial table2 --quick output."""
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.cli", "table2", "--quick"],
-        capture_output=True, text=True, env=_env(), check=True,
-    )
-    return proc.stdout
+def expected_table2():
+    """The committed ``table2 --quick`` stdout at seed 1."""
+    return (pathlib.Path(__file__).resolve().parents[2]
+            / "bench" / "expected" / "table2.txt").read_text()
 
 
 def _env(**extra):
@@ -40,12 +38,13 @@ def _env(**extra):
     return env
 
 
-def test_jobs4_is_byte_identical_to_legacy_serial(
-        legacy_table2, tmp_path, capsys, monkeypatch):
+def test_jobs4_is_byte_identical_to_expected_table2(
+        expected_table2, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(PLAN_ENV, raising=False)
+    monkeypatch.chdir(tmp_path)
     man = str(tmp_path / "par.json")
     assert main(["table2", "--quick", "--jobs", "4", "--manifest", man]) == 0
-    assert capsys.readouterr().out == legacy_table2
+    assert capsys.readouterr().out == expected_table2
     doc = json.load(open(man))
     assert doc["schema"] == 2 and doc["mode"] == "journal"
     assert all(c["status"] == "ok" for c in doc["cells"])
@@ -53,7 +52,7 @@ def test_jobs4_is_byte_identical_to_legacy_serial(
     assert not os.path.exists(man + ".part.jsonl")  # finalized
 
 
-def test_kill9_then_resume_is_byte_identical(legacy_table2, tmp_path):
+def test_kill9_then_resume_is_byte_identical(expected_table2, tmp_path):
     man = str(tmp_path / "killed.json")
     part = man + ".part.jsonl"
     sweep = subprocess.Popen(
@@ -81,7 +80,7 @@ def test_kill9_then_resume_is_byte_identical(legacy_table2, tmp_path):
     )
     assert resumed.returncode == 0, resumed.stderr
     assert "cells already complete" in resumed.stderr
-    assert resumed.stdout == legacy_table2
+    assert resumed.stdout == expected_table2
     doc = json.load(open(man))
     assert any(c.get("resumed") for c in doc["cells"])
     assert not os.path.exists(part)

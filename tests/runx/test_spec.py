@@ -49,9 +49,9 @@ def test_every_attempt_runs_on_the_base_seed():
 
 
 def test_position_derived_seed_helpers_match_legacy_formulas():
-    # These strides are load-bearing: they must equal the formulas the
-    # legacy serial builders used, or resumed/parallel sweeps would stop
-    # being bit-identical to historical runs.
+    # These strides are load-bearing: they must equal the formulas every
+    # earlier release used, or sweeps would stop being bit-identical to
+    # historical runs and the committed goldens.
     assert rep_seed(5, 2) == 5 + 7919 * 2
     assert smm_cell_seed(1, 2) == 1 + 31 * 2
     assert smm_cell_seed(1, 1, htt=True) == 1 + 31 + 977
