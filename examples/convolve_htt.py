@@ -3,16 +3,12 @@
 
 Sweeps the paper's multithreaded methodology: 24 convolution threads on
 1–8 online logical CPUs (1–4 = HTT-disabled-like, 5–8 online HTT
-siblings), clean and under long SMIs at a 50 ms interval — plus the real
-NumPy convolution for numerical ground truth.
+siblings), clean and under long SMIs at a 50 ms interval.
 
 Run:  python examples/convolve_htt.py               (~1 minute)
 """
 
-import numpy as np
-
 from repro.apps.convolve import CACHE_FRIENDLY, CACHE_UNFRIENDLY, run_convolve
-from repro.apps.convolve_native import convolve2d, convolve2d_blocked
 from repro.core.smi import SmiProfile
 
 
@@ -28,23 +24,11 @@ def sweep(config) -> None:
         print(f"{cpus:>13} {clean:>9.2f} {noisy:>9.2f} {noisy / clean:>8.2f}x")
 
 
-def native_check() -> None:
-    rng = np.random.default_rng(0)
-    image = rng.random((256, 256))
-    kernel = rng.random((9, 9))
-    serial = convolve2d(image, kernel)
-    threaded = convolve2d_blocked(image, kernel, block=64, max_threads=8)
-    err = float(np.abs(serial - threaded).max())
-    print(f"\nnative NumPy kernel: blocked-threaded vs serial max |Δ| = {err:.2e}")
-    print("(the paper's decomposition has no data dependencies — results identical)")
-
-
 def main() -> None:
     print("Convolve experiments (§IV.B): note near-linear scaling to 4 CPUs,")
     print("minimal HTT benefit at 5-8, and the dramatic 50 ms-interval regime.")
     sweep(CACHE_FRIENDLY)
     sweep(CACHE_UNFRIENDLY)
-    native_check()
 
 
 if __name__ == "__main__":

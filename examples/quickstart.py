@@ -10,7 +10,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro import make_machine, SmiProfile, SmiSource
-from repro.core.attribution import attribute
 from repro.machine.profile import COMPUTE_BOUND
 from repro.machine.topology import WYEAST_SPEC
 
@@ -29,12 +28,12 @@ def run_once(smm_label, durations):
     machine.engine.run_until(task.proc.done_event)
 
     wall = task.finished_ns / 1e9
-    rep = attribute(machine.node).tasks[0]
+    acct = machine.scheduler.accounting.snapshot()[0]  # times in ns
     smis = machine.node.smm.stats.entries
     print(
         f"{smm_label:<22} wall {wall:6.3f} s   SMIs {smis:3d}   "
-        f"kernel-utime {rep.kernel_s:6.3f} s   true {rep.true_s:6.3f} s   "
-        f"stolen {rep.stolen_s:6.3f} s"
+        f"kernel-utime {acct.kernel_ns / 1e9:6.3f} s   "
+        f"true {acct.true_ns / 1e9:6.3f} s   stolen {acct.stolen_ns / 1e9:6.3f} s"
     )
     return wall
 

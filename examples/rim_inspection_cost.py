@@ -53,7 +53,7 @@ def main() -> None:
     print("\nTakeaway: second-scale inspection periods are nearly free;")
     print("sub-second RIM taxes both throughput and parallel jobs roughly")
     print("at the SMM duty cycle — and the MPI penalty grows with node")
-    print("count (run examples/scale_projection.py to see amplification).")
+    print("count (run examples/mpi_noise_study.py to see amplification).")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
-"""repro.analysis — statistics, table rendering, figure series, traces.
+"""repro.analysis — statistics, table rendering, figure series.
 
 Everything the benchmark harness needs to turn raw runs into the paper's
 artifacts: Δ/%Δ tables in the layout of Tables 1–5, series + ASCII charts
-for Figures 1–2, SMM residency queries over timelines, and the
-paper-vs-measured comparison records that feed EXPERIMENTS.md.
+for Figures 1–2, and the paper-vs-measured comparison records that feed
+EXPERIMENTS.md.
 """
 
 from repro.analysis.stats import (

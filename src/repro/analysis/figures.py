@@ -1,7 +1,8 @@
 """Figure series and terminal rendering.
 
 The harness regenerates Figures 1–2 as data series (CSV on request) plus
-a monospace chart so ``pytest benchmarks/ -s`` shows the shapes directly.
+a monospace chart so ``repro-smm figure1``/``figure2`` show the shapes
+directly in a terminal.
 """
 
 from __future__ import annotations

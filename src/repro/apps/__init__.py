@@ -2,12 +2,10 @@
 
 * :mod:`nas` — phase-level models of the NAS Parallel Benchmarks the MPI
   study measures: EP, BT, FT, classes A/B/C (§III.C).
-* :mod:`convolve` — the multithreaded convolution kernel of §IV.B, both
-  as a simulator workload (cache-friendly / cache-unfriendly
-  configurations) and as a *real* NumPy implementation
-  (:mod:`convolve_native`) used for verification and host runs.
+* :mod:`convolve` — the multithreaded convolution kernel of §IV.B as a
+  simulator workload (cache-friendly / cache-unfriendly configurations).
 * :mod:`unixbench` — the five UnixBench tests of §IV.C with the index
-  scoring, as simulator profiles and as host-native micro-benchmarks.
+  scoring, as simulator profiles.
 """
 
 from repro.apps.base import AppResult

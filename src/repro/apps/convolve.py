@@ -26,10 +26,6 @@ rate, the per-thread working set, and the HTT yield the paper observed
 Workers split their share into ~50 ms segments so the OS model gets
 realistic re-placement points; per-block thread-spawn overhead is charged
 as CPU work.
-
-The *numerics* of the same kernel live in
-:mod:`repro.apps.convolve_native` (real NumPy, host-runnable) and are
-cross-verified in the tests.
 """
 
 from __future__ import annotations

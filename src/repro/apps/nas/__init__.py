@@ -8,10 +8,10 @@ communication patterns — using the published NPB problem-class parameters
 single-rank base times (:mod:`repro.core.calibration` explains the fit).
 
 The models return :class:`repro.apps.base.AppResult`-compatible floats
-(the timed region in seconds) from each rank, and the built-in
-verification (:mod:`verification`) checks the *algorithmic* outputs that
-flow through the simulated collectives (e.g. EP's Gaussian-pair counts
-summed by allreduce) so communication correctness is tested end-to-end.
+(the timed region in seconds) from each rank, and each rank body's
+built-in verification checks the *algorithmic* outputs that flow through
+the simulated collectives (e.g. EP's Gaussian-pair counts summed by
+allreduce) so communication correctness is tested end-to-end.
 """
 
 from repro.apps.nas.params import (

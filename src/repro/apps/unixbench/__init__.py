@@ -17,10 +17,9 @@ configuration runs everything twice — one copy, then one copy per CPU —
 which is where HTT's benefit shows (Figure 2's per-CPU-configuration
 series).
 
-* :mod:`index` — scoring machinery (shared by simulated and native runs).
+* :mod:`index` — scoring machinery.
 * :mod:`tests` — the five tests as simulator workload definitions.
 * :mod:`runner` — the duplex protocol on a simulated machine.
-* :mod:`native` — host-runnable micro-benchmark twins.
 """
 
 from repro.apps.unixbench.index import BASELINES, TestScore, IndexResult, geometric_index

@@ -4,16 +4,10 @@
   jiffy-interval trigger discipline of §III.B).
 * :mod:`driver` — the "Blackbox SMI" driver model: configuration
   interface and TSC-based latency self-measurement.
-* :mod:`noise` — a general noise taxonomy (SMI vs OS tick vs daemon) and
-  Ferreira-style absorption/amplification analysis.
-* :mod:`attribution` — where did SMM time go?  Ground truth vs kernel
-  accounting vs what a profiling tool reports.
 * :mod:`detector` — hwlat-style spin-gap SMI detection with the BIOSBITS
   150 µs threshold; has a host-native twin for real machines.
 * :mod:`experiment` — the paper's methodology: run matrices, repetitions,
   averages, Δ and %Δ tables.
-* :mod:`analytic` — closed-form first-order noise models used to bracket
-  and sanity-check the simulator.
 * :mod:`calibration` — fits of machine/network constants to the paper's
   SMM-0 base times.
 """

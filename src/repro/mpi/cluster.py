@@ -95,7 +95,7 @@ class Cluster:
         uniform over the whole interval: the default 400 ms spread is the
         value that reproduces the paper's amplification factors for
         tightly-synchronized codes (see EXPERIMENTS.md and the
-        phase-alignment ablation in ``benchmarks/test_ablations.py``).
+        phase-alignment ablation in ``tests/integration/test_ablations.py``).
         Pass ``None`` for fully independent phases (uniform over the
         interval)."""
         if durations is None:

@@ -3,8 +3,9 @@
 The exporter **re-encodes, never re-derives**: every SMM duration event
 carries the exact integer nanosecond span between the matched
 ``smm.enter``/``smm.exit`` timeline records in ``args.duration_ns``, so
-per-node totals from a trace file equal
-:func:`repro.analysis.traces.smm_residency` totals exactly.  The standard
+per-node totals from a trace file equal the timeline's own SMM residency
+(``Timeline.total_overlap`` of ``Timeline.intervals("smm.enter",
+"smm.exit", where=node)``) exactly.  The standard
 ``ts``/``dur`` fields are the same values scaled to the microseconds the
 trace-viewer UIs expect (floats; use ``args`` for arithmetic).
 

@@ -3,7 +3,9 @@
 The per-window charging itself happens in the scheduler's executor hook
 (`Scheduler._make_account_hook`); each :class:`repro.sched.task.TaskAccount`
 accumulates the three time streams.  This module provides the node-level
-summaries the attribution analysis (:mod:`repro.core.attribution`) builds on.
+summaries of the paper's mis-attribution claim (§I, §V): the kernel's
+utime (``kernel``) over-reports the true service time by exactly the
+SMM-stolen time, per task (:attr:`TaskTimes.inflation_pct`) and in total.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ The paper's central methodological point is that *the platform's own
 instrumentation lies* about SMM time.  The :class:`Timeline` is the
 omniscient observer that the real hardware lacks: every interesting
 transition (SMM entry/exit, task state changes, messages, interrupts) is
-recorded here with ground-truth timestamps, so the analysis layer
-(:mod:`repro.core.attribution`) can compare ground truth against the
-kernel's (deliberately wrong) accounting and against what a profiling tool
-would report.
+recorded here with ground-truth timestamps, so SMM residency
+(:meth:`Timeline.intervals` + :meth:`Timeline.total_overlap`) can be
+compared against the kernel's (deliberately wrong) accounting in
+:mod:`repro.sched.accounting`.
 """
 
 from __future__ import annotations

@@ -10,13 +10,24 @@ from repro.apps.nas.params import (
     NasClass,
     PAPER_BASE_1RANK_S,
 )
-from repro.apps.nas.verification import structural_invariants
 from repro.core.calibration import derive_work_units
 
 
 def test_structural_invariants_all_hold():
-    checks = structural_invariants()
-    assert all(checks.values()), {k: v for k, v in checks.items() if not v}
+    """Class-parameter sanity: monotone work, the published geometry."""
+    order = [NasClass.A, NasClass.B, NasClass.C]
+    for name, params in (("EP", EP_PARAMS), ("BT", BT_PARAMS), ("FT", FT_PARAMS)):
+        works = [params[c].work_total for c in order]
+        assert works[0] < works[1] < works[2], name
+    assert [EP_PARAMS[c].m for c in order] == [28, 30, 32]
+    assert [BT_PARAMS[c].grid_n for c in order] == [64, 102, 162]
+    assert all(BT_PARAMS[c].niter == 200 for c in order)
+    assert [FT_PARAMS[c].cells for c in order] == [
+        256 * 256 * 128,
+        512 * 256 * 256,
+        512 * 512 * 512,
+    ]
+    assert [FT_PARAMS[c].niter for c in order] == [6, 20, 20]
 
 
 def test_ep_pair_counts():

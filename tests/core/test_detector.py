@@ -24,17 +24,30 @@ def test_clean_machine_has_no_gaps():
     assert rep.samples > 5000
 
 
-def test_detects_every_long_smi():
-    m = make_machine(WYEAST_SPEC, seed=1)
-    SmiSource(m.node, SmiProfile.LONG, 200, seed=4)
-    rep = run_detector(m, window_s=1.0)
+@pytest.mark.parametrize(
+    "durations, interval, machine_seed, smi_seed, window_s, min_entries, widths_ns",
+    [
+        # measured widths ≈ the long SMI residencies
+        pytest.param(SmiProfile.LONG, 200, 1, 4, 1.0, 4, (95_000_000, 120_000_000),
+                     id="long@200ms"),
+        pytest.param(SmiProfile.SHORT, 1000, 21, 21, 2.0, 1, None, id="short@1s"),
+        pytest.param(SmiProfile.LONG, 1000, 21, 21, 2.0, 1, None, id="long@1s"),
+        pytest.param(SmiProfile.LONG, 300, 21, 21, 2.0, 1, None, id="long@300ms"),
+    ],
+)
+def test_detects_every_long_smi(
+    durations, interval, machine_seed, smi_seed, window_s, min_entries, widths_ns
+):
+    m = make_machine(WYEAST_SPEC, seed=machine_seed)
+    SmiSource(m.node, durations, interval, seed=smi_seed)
+    rep = run_detector(m, window_s=window_s)
     entries = m.node.smm.stats.entries
-    assert entries >= 4
-    assert rep.detected == entries
-    # measured widths ≈ the SMI residencies
-    for g in rep.gaps:
-        assert 95_000_000 < g.width_ns < 120_000_000
-    assert rep.biosbits_violations == rep.detected  # all exceed 150 µs
+    assert entries >= min_entries
+    assert rep.detected == entries  # every SMI caught
+    if widths_ns is not None:
+        for g in rep.gaps:
+            assert widths_ns[0] < g.width_ns < widths_ns[1]
+    assert rep.biosbits_violations == entries  # all exceed 150 µs
 
 
 def test_detects_short_smis_above_biosbits_threshold():

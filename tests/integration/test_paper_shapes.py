@@ -107,31 +107,53 @@ def test_claim_unixbench_symmetric_depression_and_core_scaling():
     assert abs_losses[4] > 2.5 * abs_losses[1]         # larger absolute effect
 
 
-def test_claim_smm_time_invisible_to_tools():
-    """§V: 'The impacts would not be reported correctly by the current
-    generation of performance tools' — kernel accounting inflates exactly
-    by the stolen time."""
-    from repro.core.attribution import attribute
+def _victim_accounting(durations, interval, seed):
+    """A 2 s compute victim on one node; returns its task and the
+    kernel's accounting record for it."""
     from repro.core.smi import SmiSource
     from repro.machine.profile import COMPUTE_BOUND
     from repro.machine.topology import WYEAST_SPEC
     from repro.system import make_machine
 
-    m = make_machine(WYEAST_SPEC, seed=5)
-    SmiSource(m.node, SmiProfile.LONG, 500, seed=5)
+    m = make_machine(WYEAST_SPEC, seed=seed)
+    if durations is not None:
+        SmiSource(m.node, durations, interval, seed=seed)
 
     def body(task):
         yield from task.compute(COMPUTE_BOUND.solo_rate(WYEAST_SPEC.base_hz) * 2.0)
 
     t = m.scheduler.spawn(body, "victim", COMPUTE_BOUND)
     m.engine.run_until(t.proc.done_event)
-    rep = attribute(m.node)
-    victim = rep.tasks[0]
+    assert m.scheduler.accounting.conservation_error() / 1e9 < 1e-9
+    return t, m.scheduler.accounting.snapshot()[0]
+
+
+def test_claim_smm_time_invisible_to_tools():
+    """§V: 'The impacts would not be reported correctly by the current
+    generation of performance tools' — kernel accounting inflates exactly
+    by the stolen time."""
+    t, victim = _victim_accounting(SmiProfile.LONG, 500, seed=5)
     wall = t.finished_ns / 1e9
     # the kernel would report ~wall seconds of CPU, the truth is ~2.0 s
-    assert victim.kernel_s == pytest.approx(wall, rel=0.02)
-    assert victim.true_s == pytest.approx(2.0, rel=0.02)
+    assert victim.kernel_ns / 1e9 == pytest.approx(wall, rel=0.02)
+    assert victim.true_ns / 1e9 == pytest.approx(2.0, rel=0.02)
     assert victim.inflation_pct > 15.0
+
+
+@pytest.mark.parametrize(
+    "durations, interval, in_band",
+    [
+        pytest.param(None, 1000, lambda pct: pct == 0.0, id="SMM0"),
+        pytest.param(SmiProfile.SHORT, 1000, lambda pct: pct < 1.0, id="SHORT@1s"),
+        pytest.param(SmiProfile.LONG, 1000, lambda pct: 8.0 < pct < 16.0, id="LONG@1s"),
+        pytest.param(SmiProfile.LONG, 300, lambda pct: pct > 25.0, id="LONG@300ms"),
+    ],
+)
+def test_claim_smm_time_invisible_to_tools_inflation_bands(durations, interval, in_band):
+    """The same claim across the SMI classes: the % by which the kernel's
+    utime over-reports a 2 s victim stays in each condition's band."""
+    _, victim = _victim_accounting(durations, interval, seed=11)
+    assert in_band(victim.inflation_pct), victim.inflation_pct
 
 
 def test_claim_detector_sees_what_throughput_misses():

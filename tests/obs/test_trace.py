@@ -3,7 +3,6 @@
 import io
 import json
 
-from repro.analysis.traces import smm_residency
 from repro.apps.nas.params import NasClass
 from repro.apps.nas.study import NasConfig, run_nas_config
 from repro.obs.trace import (
@@ -102,7 +101,7 @@ def test_golden_trace_document_shape_and_monotonic_ts(tmp_path):
 
 def test_smm_duration_events_equal_residency_exactly():
     """Acceptance criterion: per-node summed args.duration_ns from the
-    exported trace equals smm_residency().total_ns *exactly* — the
+    exported trace equals the timeline's SMM residency *exactly* — the
     exporter re-encodes the integer spans, never re-derives them."""
     tl = _traced_quick_run()
     t1 = max(r.time for r in tl) + 1
@@ -114,7 +113,8 @@ def test_smm_duration_events_equal_residency_exactly():
             if e.get("ph") == "X" and e.get("name") == "SMM"
             and e["pid"] == pid
         )
-        truth = smm_residency(tl, node, 0, t1).total_ns
+        ivals = tl.intervals("smm.enter", "smm.exit", where=node)
+        truth = Timeline.total_overlap(ivals, 0, t1)
         assert trace_total == truth  # exact integer equality
         assert trace_total > 0  # the scenario really had long SMIs
 

@@ -75,3 +75,27 @@ def test_total_overlap_clipping():
     assert Timeline.total_overlap(ivals, 50, 350) == 50 + 50
     assert Timeline.total_overlap(ivals, 500, 600) == 0
     assert Timeline.total_overlap(ivals, 0, 1000) == 250
+
+
+def test_live_cluster_residency_matches_smm_stats():
+    """End-to-end: timeline residency equals the controller's totals."""
+    from repro.core.smi import SmiProfile
+    from repro.machine.profile import COMPUTE_BOUND
+    from repro.mpi import Cluster, ClusterSpec, run_mpi_job
+
+    c = Cluster(ClusterSpec(n_nodes=2), seed=3)
+    c.enable_smi(SmiProfile.LONG, 300, seed=3)
+
+    def app(rk):
+        yield from rk.compute(2.27e9 * 1.0)
+        return None
+
+    run_mpi_job(c, app, nranks=2, profile=COMPUTE_BOUND)
+    t1 = c.engine.now
+    for node in c.nodes:
+        ivals = c.timeline.intervals("smm.enter", "smm.exit", where=node.name)
+        total = Timeline.total_overlap(ivals, 0, t1)
+        # timeline-derived residency within one (possibly clipped) SMI of
+        # the controller's accounting
+        assert abs(total - node.smm.stats.total_ns) <= 111_000_000
+        assert total / t1 > 0.2  # 105/300 ≈ 35 % duty
