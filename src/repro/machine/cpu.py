@@ -19,7 +19,8 @@ where ``gross_hz`` implements Hyper-Threading coupling:
 ``cache_efficiency`` comes from :class:`repro.machine.cache.CacheHierarchy`
 using the working sets of tasks co-resident at each sharing level.
 
-Rates are recomputed only at discrete transitions (see
+:meth:`repro.machine.node.Node.apply_rates` evaluates it for all busy
+CPUs in one pass, only at discrete transitions (see
 :meth:`repro.machine.node.Node.recompute`), never per-instruction: the
 fluid model (DESIGN.md §5.1) is exact between transitions.
 """
@@ -27,7 +28,7 @@ fluid model (DESIGN.md §5.1) is exact between transitions.
 from __future__ import annotations
 
 from functools import partial
-from typing import List, Optional, TYPE_CHECKING
+from typing import List, TYPE_CHECKING
 
 from repro.simx.engine import Engine
 from repro.simx.rate import RateExecutor, WorkItem
@@ -88,7 +89,8 @@ class LogicalCpu:
     def add_segment(self, item: WorkItem) -> None:
         """Place a compute segment here.  ``item.meta`` must expose a
         ``profile`` attribute (the owning task).  Caller must follow with
-        :meth:`Node.apply_rates` (after a :meth:`Node.sync`)."""
+        :meth:`repro.machine.node.Node.apply_rates` (after a
+        :meth:`~repro.machine.node.Node.sync`)."""
         if not self.state.online:
             raise RuntimeError(f"placing work on offline cpu{self.index}")
         self.executor.add(item, rate=0.0)
@@ -110,7 +112,8 @@ class LogicalCpu:
     # -- rate computation ---------------------------------------------------
     def gross_hz(self) -> float:
         """Deliverable throughput of this CPU (work units/second) before
-        per-task sharing and cache efficiency."""
+        per-task sharing and cache efficiency.  ``Node.apply_rates``
+        computes the same float inline; tests use this as the reference."""
         if self.node.frozen or not self.state.online or not self.busy:
             return 0.0
         base = self.node.spec.base_hz * self.degradation
@@ -125,44 +128,12 @@ class LogicalCpu:
         combined_yield = sum(p.htt_yield for p in mix) / len(mix)
         return base * combined_yield / 2.0
 
-    def compute_rates(self, core_ws: int, socket_ws: int,
-                      sibling: Optional["LogicalCpu"]) -> List[float]:
-        """New rate (work units per *nanosecond*) for every resident
-        segment, positionally aligned with ``executor.items`` (feed the
-        result to :meth:`repro.simx.rate.RateExecutor.set_rates_seq`).
-
-        :meth:`repro.machine.node.Node.apply_rates` supplies the cache
-        context once per pass: ``core_ws``/``socket_ws`` are the summed
-        working sets of this CPU plus its busy sibling, and of every busy
-        CPU on its socket; ``sibling`` is the HTT sibling when it is busy
-        too, else ``None``.
-        """
-        items = self.executor.items
-        node = self.node
-        if node._frozen or not self.state.online:
-            return [0.0] * len(items)
-        base = node.spec.base_hz * self.degradation
-        if sibling is not None:
-            # Both siblings busy: aggregate yield from the combined mix.
-            mix = items + sibling.executor.items
-            combined_yield = (
-                sum([it.meta.profile.htt_yield for it in mix]) / len(mix))
-            gross = base * combined_yield / 2.0
-        else:
-            gross = base
-        if gross <= 0.0:
-            return [0.0] * len(items)
-        share_hz = gross / len(items)
-        effs = node.cache_hierarchy.efficiencies(
-            [item.meta.profile for item in items], core_ws, socket_ws)
-        return [share_hz * eff / 1e9 for eff in effs]
-
     def compute_rates_solo(self) -> List[float]:
         """Rates when this is the only busy CPU on its node: the sibling
         is necessarily idle (gross = base) and this CPU's residents are
         the entire core *and* socket context.  Must only be called with a
         non-empty executor.  Positionally aligned with ``executor.items``,
-        like :meth:`compute_rates`."""
+        as :meth:`repro.simx.rate.RateExecutor.set_rates_seq` takes them."""
         items = self.executor.items
         if self.node._frozen or not self.state.online:
             return [0.0] * len(items)

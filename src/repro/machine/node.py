@@ -215,10 +215,11 @@ class Node:
     def apply_rates(self) -> None:
         """Recompute and install the rate assignment for every CPU.
 
-        Each busy CPU's working-set sum and each socket's total are taken
-        once per pass.  Working sets are ``int``, so these sums equal the
-        per-CPU list sums they replace whatever the order, and every
-        computed rate is bit-identical.
+        One loop over the busy CPUs computes the floats of
+        :meth:`LogicalCpu.gross_hz` and :meth:`CacheHierarchy.efficiency`
+        in their order, from working-set sums (``int``, so order-free)
+        taken once per CPU and socket.  Rates go straight into the rate
+        columns: every caller synced the node in this instant.
         """
         busy = self._busy
         if not busy:
@@ -243,18 +244,49 @@ class Node:
                 sock = state.core.socket
                 socket_ws[sock] = socket_ws.get(sock, 0) + total
         cpus = self.cpus
+        frozen = self._frozen
+        base_hz = self.spec.base_hz
+        hierarchy = self.cache_hierarchy
+        eff_cache = hierarchy._eff_cache
         for cpu in busy:
             state = cpu.state
-            core_ws = ws[state.index]
-            sibling = None
-            sib_state = state.sibling
-            if sib_state is not None and sib_state.online:
-                sib_ws = ws.get(sib_state.index)
-                if sib_ws is not None:
-                    sibling = cpus[sib_state.index]
-                    core_ws += sib_ws
-            cpu.executor.set_rates_seq(cpu.compute_rates(
-                core_ws, socket_ws.get(state.core.socket, 0), sibling))
+            ex = cpu.executor
+            items = ex._items
+            rate_s = ex._rate
+            gross = 0.0
+            if not frozen and state.online:
+                gross = base_hz * cpu.degradation
+                core_ws = ws[state.index]
+                sib_state = state.sibling
+                if sib_state is not None and sib_state.online:
+                    sib_ws = ws.get(sib_state.index)
+                    if sib_ws is not None:
+                        # Both siblings busy: the mix's mean htt_yield.
+                        core_ws += sib_ws
+                        mix = items + cpus[sib_state.index].executor._items
+                        gross = gross * (sum(
+                            [it.meta.profile.htt_yield for it in mix])
+                            / len(mix)) / 2.0
+            if gross <= 0.0:
+                rate_s[:] = [0.0] * len(items)
+            else:
+                share_hz = gross / len(items)
+                sock_ws = socket_ws[state.core.socket]
+                prev = None
+                for i, item in enumerate(items):
+                    profile = item.meta.profile
+                    if profile is not prev:
+                        prev = profile
+                        eff = eff_cache.get((profile, core_ws, sock_ws))
+                        if eff is None:
+                            eff = hierarchy.efficiencies(
+                                (profile,), core_ws, sock_ws)[0]
+                        rate = share_hz * eff / 1e9
+                    rate_s[i] = rate
+            if ex._defer:
+                ex._dirty = True
+            else:
+                ex._reschedule()
 
     def recompute(self) -> None:
         """sync + apply_rates — the one call sites use after any change."""

@@ -254,13 +254,18 @@ class Scheduler:
         items = cpu.executor.items
 
         def hook(dt_ns: int) -> None:
-            k = len(items)
-            if k == 0:
-                return
-            share = dt_ns / k
-            frozen = node._frozen
-            for item in items:
-                item.meta.acct.add_window(share, frozen)
+            # The kernel charges each resident its share of the window.
+            share = dt_ns / len(items)  # sync skips empty executors
+            if node._frozen:
+                for item in items:
+                    acct = item.meta.acct
+                    acct.kernel_ns += share
+                    acct.stolen_ns += share
+            else:
+                for item in items:
+                    acct = item.meta.acct
+                    acct.kernel_ns += share
+                    acct.true_ns += share
 
         return hook
 

@@ -59,14 +59,6 @@ class TaskAccount:
     segments: int = 0
     work_done: float = 0.0
 
-    def add_window(self, share_ns: float, frozen: bool) -> None:
-        """Charge one homogeneous accounting window."""
-        self.kernel_ns += share_ns
-        if frozen:
-            self.stolen_ns += share_ns
-        else:
-            self.true_ns += share_ns
-
     @property
     def inflation(self) -> float:
         """Fractional over-report of the kernel view vs ground truth."""

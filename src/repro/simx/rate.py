@@ -332,8 +332,8 @@ class RateExecutor:
     def set_rates_seq(self, rates: Sequence[float]) -> None:
         """Assign new rates positionally: ``rates[i]`` goes to the i-th
         resident item (insertion order — the order :attr:`items` yields
-        and :meth:`repro.machine.cpu.LogicalCpu.compute_rates` returns).
-        The fast path for full reassignment: no per-item hashing."""
+        and :meth:`repro.machine.cpu.LogicalCpu.compute_rates_solo`
+        returns): full reassignment without per-item hashing."""
         self.sync()
         if len(rates) != len(self._items):
             raise SimulationError(

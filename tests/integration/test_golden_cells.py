@@ -15,7 +15,8 @@ perf change)::
 
     PYTHONPATH=src python - <<'EOF'
     import json
-    from repro.runx.cells import run_cell
+    from repro.obs.metrics import MetricsRegistry
+from repro.runx.cells import run_cell
     path = "tests/integration/golden/cells.json"
     g = json.load(open(path))
     for c in g.values():
@@ -29,12 +30,19 @@ import os
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.runx.cells import run_cell
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "cells.json")
 
 with open(GOLDEN, encoding="utf-8") as fp:
     _CELLS = json.load(fp)
+
+#: ``engine.events.scheduled`` of each golden cell.  A perf change must
+#: keep these too: the same payload from a different event stream means
+#: the change moved a timer push or a sequence number.
+_EVENTS = {"bt": 46_927, "convolve": 59_278, "convolve_cu1": 46_065,
+           "convolve_cu8": 98_808, "ft": 15_719}
 
 
 @pytest.mark.parametrize("name", sorted(_CELLS))
@@ -46,3 +54,11 @@ def test_golden_payload_is_byte_identical(name):
     got = json.dumps(payload, sort_keys=True)
     want = json.dumps(cell["payload"], sort_keys=True)
     assert got == want, f"golden cell {name!r} payload drifted"
+
+
+@pytest.mark.parametrize("name", sorted(_CELLS))
+def test_golden_cell_event_count_is_pinned(name):
+    cell = _CELLS[name]
+    reg = MetricsRegistry()
+    run_cell(cell["fn"], cell["params"], cell["seed"], metrics=reg)
+    assert reg.get("engine.events.scheduled").value == _EVENTS[name]

@@ -1,9 +1,10 @@
 """CPU execution: timing exactness, processor sharing, HTT coupling."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.machine.profile import WorkloadProfile
-from repro.machine.cache import CacheSpec
+from repro.machine.cache import CacheHierarchy, CacheSpec
 from repro.machine.topology import R410_SPEC, WYEAST_SPEC, MachineSpec
 from repro.system import make_machine
 
@@ -155,46 +156,107 @@ MIXED = [
 
 
 def _list_sum_rates(node, cpu):
-    """The rate formula with co-resident profile lists and summed
-    working sets, as it read before the pass took integer sums."""
+    """The rate formula spelled the slow way, per CPU: the
+    :meth:`LogicalCpu.gross_hz` mix, then
+    :meth:`CacheHierarchy.efficiency` over co-resident profile lists.
+    A fresh hierarchy keeps its memo apart from the node's."""
     profs = cpu.profiles()
+    gross = cpu.gross_hz()
+    if gross <= 0.0:
+        return [0.0] * len(profs)
     sib = cpu.state.sibling
-    sib_profs = node.cpu(sib.index).profiles() if sib.online else []
-    base = node.spec.base_hz * cpu.degradation
-    if sib_profs:
-        core = profs + sib_profs
-        gross = base * (sum(p.htt_yield for p in core) / len(core)) / 2.0
-    else:
-        core = list(profs)
-        gross = base
+    core = list(profs)
+    if sib is not None and sib.online:
+        core += node.cpu(sib.index).profiles()
     sock = cpu.state.core.socket
     socket = [p for c in node.cpus
               if c.state.online and c.state.core.socket == sock
               for p in c.profiles()]
     share_hz = gross / len(profs)
-    hier = node.cache_hierarchy
+    hier = CacheHierarchy(node.cache_hierarchy.levels)
     return [share_hz * hier.efficiency(p, core, socket) / 1e9 for p in profs]
 
 
-def test_integer_sum_rates_equal_list_sum_rates_bit_for_bit():
-    """Stacked CPUs, busy and idle HTT siblings, repeated profile objects
-    and two sockets: every installed rate is the list-sum rate exactly."""
+#: Working sets on both sides of each level's fit boundary (32 KB L1,
+#: 256 KB L2, 8 MB L3), alone and summed with co-residents.
+_WS = (16 << 10, 40 << 10, 200 << 10, 300 << 10, 3 << 20, 5 << 20, 9 << 20)
+_PROFILE = st.builds(
+    lambda ws, y, miss, sens: WorkloadProfile(
+        name="h", htt_yield=y, working_set_bytes=ws, base_miss_rate=miss,
+        mem_ref_fraction=0.3, cache_sensitivity=sens),
+    st.sampled_from(_WS),
+    # Yields whose float sum depends on the order they are added in.
+    st.one_of(st.sampled_from((0.1, 0.2, 0.3, 0.7, 1.1, 1.3)),
+              st.floats(0.05, 2.0)),
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+#: Siblings holding yields (0.1, 0.1) and (0.1, 0.3): their float sum
+#: differs when the sibling's items come first.
+_ORDER = [WorkloadProfile(name="y1", htt_yield=0.1),
+          WorkloadProfile(name="y3", htt_yield=0.3)]
+#: Per CPU: offline, idle, or the pool indices of its resident segments.
+_CPU = st.tuples(
+    st.sampled_from(("busy", "busy", "busy", "idle", "offline")),
+    st.lists(st.integers(0, 3), min_size=1, max_size=4),
+).map(lambda t: {"busy": t[1], "idle": [], "offline": "offline"}[t[0]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(pool=st.lists(_PROFILE, min_size=1, max_size=4),
+       cpus=st.lists(_CPU, min_size=8, max_size=8),
+       frozen=st.booleans(),
+       degraded=st.one_of(st.none(), st.tuples(st.integers(0, 7),
+                                               st.floats(0.1, 0.99))))
+@example(pool=MIXED,
+         cpus=[[0, 1, 2], [4], [1, 1], [3], [3], [], [2, 0], [4, 4, 0]],
+         frozen=False, degraded=None)
+@example(pool=_ORDER, cpus=[[0, 0], [], [], [], [0, 1], [], [], []],
+         frozen=False, degraded=None)
+def test_integer_sum_rates_equal_list_sum_rates_bit_for_bit(
+        pool, cpus, frozen, degraded):
+    """Stacked CPUs, busy, idle and offline HTT siblings, repeated and
+    mixed profile objects, two sockets, a frozen node and a degraded
+    busy CPU: after ``recompute`` every installed rate is the list-sum
+    rate exactly.  Segments arrive at staggered instants, and every rate
+    pass finds each busy executor synced to *now*, so the pass has no
+    window to integrate before installing rates."""
     m = make_machine(TWO_SOCKET_HTT)
-    # cpu -> profile indices; cpu i and i+4 are siblings, cores 0-1 on
-    # socket 0 and cores 2-3 on socket 1.
-    placement = {0: [0, 1, 2], 4: [3], 1: [4], 2: [1, 1], 6: [2, 0],
-                 3: [3], 7: [4, 4, 0]}
+    node = m.node
+    # cpu i and i+4 are siblings; cores 0-1 on socket 0, 2-3 on socket 1.
+    for i, spec in enumerate(cpus):
+        if spec == "offline" and i != 0:
+            m.sysfs.set_online(i, False)
+    apply_rates = node.apply_rates
+
+    def checked_apply_rates():
+        for cpu in node._busy:
+            assert cpu.executor._last_sync == m.engine.now
+        apply_rates()
+
+    node.apply_rates = checked_apply_rates
     work = TWO_SOCKET_HTT.base_hz
 
-    def body(task):
-        yield from task.compute(work)
+    def body(delay):
+        def inner(task):
+            yield from task.sleep(delay)
+            yield from task.compute(work)
 
-    for cpu, idxs in placement.items():
-        for k, i in enumerate(idxs):
-            m.scheduler.spawn(body, f"c{cpu}.{k}", MIXED[i], affinity={cpu})
-    m.engine.run(until_ns=1_000)
-    node = m.node
-    assert len(node._busy) == len(placement)
+        return inner
+
+    busy = 0
+    for i, spec in enumerate(cpus):
+        if spec == "offline":
+            continue  # cpu0 stays online (and idle) in this case
+        busy += bool(spec)
+        for k, j in enumerate(spec):
+            m.scheduler.spawn(body(37 * len(m.scheduler.tasks)), f"c{i}.{k}",
+                              pool[j % len(pool)], affinity={i})
+    m.engine.run(until_ns=2_000)
+    if degraded is not None and node._busy:
+        node._busy[degraded[0] % len(node._busy)].degrade(degraded[1])
+    if frozen:
+        node.freeze()
+    node.recompute()
+    assert len(node._busy) == busy
     for cpu in node._busy:
-        got = [cpu.executor.rate_of(it) for it in cpu.executor.items]
-        assert got == _list_sum_rates(node, cpu)
+        got = [cpu.executor.rate_of(it).hex() for it in cpu.executor.items]
+        assert got == [r.hex() for r in _list_sum_rates(node, cpu)]
