@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import importlib
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.experiment import SMM_SEED_STRIDE, rep_seed, run_repeated
 
-__all__ = ["resolve", "run_cell", "REGISTRY"]
+__all__ = ["resolve", "run_cell", "dispatch_order", "REGISTRY"]
 
 CellFn = Callable[..., Dict[str, Any]]
 
@@ -384,6 +384,36 @@ def resolve(fn: str) -> CellFn:
     raise ValueError(
         f"unknown cell executor {fn!r} (registry: {sorted(REGISTRY)})"
     )
+
+
+def _cost(spec) -> float:
+    """A spec's relative cost, from its params alone; 0 = no estimate.
+
+    NAS cells scale with rank count times repetitions, UnixBench cells
+    with CPUs times swept intervals.  Convolve cells get none: their
+    measured times do not follow ``cpus`` (the cache model dominates),
+    and Figure 1's spec order is already balanced.  A spec whose params
+    cannot be costed (a malformed served submit) also gets 0 — it fails
+    in its worker, not here.
+    """
+    p = spec.params
+    try:
+        if spec.fn == "nas":
+            return float(p["nodes"]) * float(p["rpn"]) * float(p["reps"])
+        if spec.fn == "unixbench":
+            return float(p["cpus"]) * len(p["intervals_ms"])
+    except (KeyError, TypeError, ValueError):
+        pass
+    return 0.0
+
+
+def dispatch_order(specs: Sequence) -> List:
+    """The specs largest-estimated-cost first (Graham's LPT list
+    scheduling), so a sweep's longest cells do not start last and run
+    alone on an otherwise idle pool.  The sort is stable: ties and specs
+    with no estimate keep their relative spec order.  Seeds are
+    position-derived, so the order changes wall time, never payloads."""
+    return sorted(specs, key=_cost, reverse=True)
 
 
 def run_cell(fn: str, params: Dict, seed: int,

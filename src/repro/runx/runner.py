@@ -24,9 +24,14 @@ no matter what individual cells do.  The failure model:
   the v2 manifest; ``completed=`` feeds previously journaled results
   back in, and the runner skips them (counted as resumed).
 * **Parallelism** — ``jobs`` threads, each with its own child, run
-  concurrently; cell seeds are position-derived, so results are
-  independent of scheduling order and ``--jobs N`` output is
-  bit-identical to ``--jobs 1``.
+  concurrently.  Cells launch largest-first
+  (:func:`~repro.runx.cells.dispatch_order`, a per-cell cost estimate
+  from the spec's params), so the sweep's longest cells do not start
+  last and run alone while the other slots idle.  Cell seeds are
+  position-derived, so results are independent of launch order and
+  ``--jobs N`` output is bit-identical to ``--jobs 1``.  The manifest
+  matrix stays in spec order; the journal and the manifest's ``cells``
+  follow completion order.
 * **Graceful drain** — :meth:`SweepRunner.request_drain` (the CLI wires
   it to SIGINT/SIGTERM) stops *launching* cells while in-flight cells
   finish and are journaled normally; ``run()`` then returns only the
@@ -52,6 +57,7 @@ import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.runx.cells import dispatch_order
 from repro.runx.spec import (
     FAILED,
     FAILED_IN_SIM,
@@ -178,6 +184,7 @@ class SweepRunner:
                 self._record(prior, journal=False)
             else:
                 todo.append(spec)
+        todo = dispatch_order(todo)
         if self.jobs == 1 or len(todo) <= 1:
             for spec in todo:
                 res = self._run_cell(spec)

@@ -64,6 +64,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
+from repro.runx.cells import dispatch_order
 from repro.runx.journal import JournalWriteError
 from repro.runx.lock import SingleWriterLock
 from repro.runx.spec import CellSpec
@@ -401,7 +402,7 @@ class ServeDaemon:
         # all-or-nothing so a refused submit has no side effects.
         entries: List[Dict[str, Any]] = []
         to_wait: List[Tuple[Dict[str, Any], asyncio.Future]] = []
-        new_jobs: List[Tuple[CellSpec, str]] = []
+        new_jobs: List[CellSpec] = []
         seen_new: Dict[str, _Job] = {}
         stats = {"cached": 0, "coalesced": 0, "submitted": 0,
                  "quarantined": 0}
@@ -426,7 +427,7 @@ class ServeDaemon:
                     continue
                 job = _Job(digest, spec)
                 seen_new[digest] = job
-                new_jobs.append((spec, digest))
+                new_jobs.append(spec)
                 stats["submitted"] += 1
             else:
                 entry["coalesced"] = True
@@ -450,7 +451,11 @@ class ServeDaemon:
                 retry_after=retry)
 
         try:
-            for spec, digest in new_jobs:
+            # Largest-first, like the sweep runner: the pool and fleet
+            # agents lease from one FIFO, so enqueue order is launch
+            # order.  Reply entries stay in submit order.
+            for spec in dispatch_order(new_jobs):
+                digest = spec.digest()
                 job = seen_new[digest]
                 # Durability first: the journal record is fsync'd before
                 # the job exists anywhere volatile.

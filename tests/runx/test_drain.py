@@ -52,20 +52,40 @@ def test_drain_mid_sweep_returns_partial_results(tmp_path):
     assert set(cells) == set(results)
 
 
+def _nas(i, nodes, rpn, reps=1):
+    return CellSpec(id=f"nas {i}", fn="nas",
+                    params={"bench": "EP", "cls": "A", "nodes": nodes,
+                            "rpn": rpn, "smm": 0, "reps": reps},
+                    base_seed=1 + i)
+
+
+#: Mixed-cost cells in spec order; launch order is largest-first.
+MIXED = [_nas(0, 1, 1), _nas(1, 2, 1), _nas(2, 1, 4, reps=2),
+         _nas(3, 1, 2), _nas(4, 2, 4), _nas(5, 4, 4)]
+
+
 def test_drained_run_resumes_to_completion(tmp_path):
     man = str(tmp_path / "run.json")
     journal = Journal(man)
     journal.write_header({"command": "t"})
     runner = SweepRunner(isolation="inline", journal=journal)
     runner.progress = lambda msg: runner.request_drain()
-    partial = runner.run(SYN)
+    partial = runner.run(MIXED)
     journal.close()
-    assert 0 < len(partial) < len(SYN)
+    # the drain lets exactly the first launched (largest) cell finish
+    assert list(partial) == ["nas 5"]
 
     _, completed = load_resume(man)
-    resumed = SweepRunner(isolation="inline").run(SYN, completed=completed)
-    assert set(resumed) == {s.id for s in SYN}
-    clean = SweepRunner(isolation="inline").run(SYN)
+    launched = []
+    resumed_runner = SweepRunner(isolation="inline")
+    resumed_runner.progress = launched.append
+    resumed = resumed_runner.run(MIXED, completed=completed)
+    # the resumed cell reports first; only the remaining cells are
+    # ordered, largest-first with ties in spec order
+    assert [m.split("] ", 1)[1] for m in launched] == [
+        "nas 5 (resumed)", "nas 2", "nas 4", "nas 1", "nas 3", "nas 0"]
+    assert set(resumed) == {s.id for s in MIXED}
+    clean = SweepRunner(isolation="inline").run(MIXED)
     assert {k: v.value for k, v in resumed.items()} \
         == {k: v.value for k, v in clean.items()}
 

@@ -8,11 +8,16 @@ runner thread, not a sweep.
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
+from repro.harness.figure1 import figure1_cell_specs
+from repro.harness.figure2 import figure2_cell_specs
+from repro.harness.mpi_tables import table_cell_specs
 from repro.obs.metrics import MetricsRegistry
 from repro.runx import Journal, SweepRunner, load_resume
+from repro.runx.cells import REGISTRY, _cost, dispatch_order
 from repro.runx.spec import CellResult, CellSpec
 from repro.runx.supervisor import WorkerChild, worker_env
 
@@ -101,6 +106,79 @@ def test_journal_records_cells_as_they_complete(tmp_path):
     _, cells = load_resume(man)
     assert set(cells) == {s.id for s in SYN}
     assert all(c.ok for c in cells.values())
+
+
+# -- dispatch order ------------------------------------------------------------
+
+def _nas(i, nodes, rpn, reps=1):
+    return CellSpec(id=f"nas {i}", fn="nas",
+                    params={"bench": "EP", "cls": "A", "nodes": nodes,
+                            "rpn": rpn, "smm": 0, "reps": reps},
+                    base_seed=1 + i)
+
+
+MIXED = [_nas(0, 1, 1), _nas(1, 2, 1), _nas(2, 1, 4, reps=2),
+         _nas(3, 1, 2), _nas(4, 2, 4), _nas(5, 2, 1)]
+
+
+@pytest.mark.parametrize("specs", [
+    MIXED,
+    SYN,
+    table_cell_specs("FT", quick=True, reps=1, seed=1),
+    figure2_cell_specs(quick=True, seed=1),
+    MIXED + SYN + figure2_cell_specs(quick=True, seed=1),
+], ids=["mixed-nas", "synthetic", "table3", "figure2", "all-kinds"])
+def test_dispatch_order_is_a_stable_largest_first_permutation(specs):
+    out = dispatch_order(specs)
+    assert sorted(s.id for s in out) == sorted(s.id for s in specs)
+    costs = [_cost(s) for s in out]
+    assert costs == sorted(costs, reverse=True)
+    # equal costs (including "no estimate") keep their spec order
+    pos = {s.id: i for i, s in enumerate(specs)}
+    for a, b in zip(out, out[1:]):
+        if _cost(a) == _cost(b):
+            assert pos[a.id] < pos[b.id]
+
+
+def test_dispatch_order_costs_nas_and_unixbench_only():
+    assert [s.id for s in dispatch_order(MIXED)] == [
+        "nas 2", "nas 4", "nas 1", "nas 3", "nas 5", "nas 0"]
+    assert [s.params["cpus"] for s in dispatch_order(
+        figure2_cell_specs(quick=True, seed=1))] == [8, 4, 2, 1]
+    table3 = table_cell_specs("FT", quick=True, reps=1, seed=1)
+    assert dispatch_order(table3)[0].id == "FT.A n=16 rpn=4 smm=0"
+    malformed = CellSpec(id="m", fn="nas", params={"nodes": "x"})
+    assert _cost(malformed) == 0
+
+
+def test_dispatch_order_keeps_figure1_spec_order():
+    """Convolve cells have no estimate, so figure1 launches exactly in
+    spec order — its FIFO makespan is already balanced."""
+    specs = figure1_cell_specs(True, 1)
+    assert dispatch_order(specs) == specs
+
+
+def test_parallel_sweep_launches_the_largest_cells_first(monkeypatch):
+    launched = []
+    both_started = threading.Barrier(2, timeout=30)
+    lock = threading.Lock()
+
+    def record(params, seed, metrics=None):
+        with lock:
+            launched.append(seed)
+            first_two = len(launched) <= 2
+        if first_two:
+            # the first two cells hold both slots until each has started
+            both_started.wait()
+        return {"values": [params["nodes"] * params["rpn"] + 1e-3 * seed]}
+
+    monkeypatch.setitem(REGISTRY, "nas", record)
+    parallel = SweepRunner(isolation="inline", jobs=2).run(MIXED)
+    assert set(launched[:2]) == {3, 5}  # nas 2 (cost 8) and nas 4 (cost 8)
+    assert sorted(launched) == [s.base_seed for s in MIXED]
+    serial = SweepRunner(isolation="inline").run(MIXED)
+    assert {k: v.value for k, v in parallel.items()} \
+        == {k: v.value for k, v in serial.items()}
 
 
 # -- process isolation (real worker subprocesses) ----------------------------

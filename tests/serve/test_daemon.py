@@ -76,6 +76,39 @@ def test_submit_computes_then_serves_from_cache(tmp_path):
     asyncio.run(scenario())
 
 
+def test_submit_enqueues_largest_first_and_replies_in_submit_order(
+        tmp_path):
+    """A mixed-size NAS submit is journaled and queued largest-first (one
+    worker, so completion order is queue order); the reply keeps the
+    submit's own order."""
+    cfg = _cfg(tmp_path)
+    sizes = [(1, 1), (2, 1), (1, 4), (4, 4), (2, 2)]  # (nodes, rpn)
+    specs = [CellSpec(id=f"ep {n}x{r}", fn="nas",
+                      params={"bench": "EP", "cls": "A", "nodes": n,
+                              "rpn": r, "smm": 0, "reps": 1},
+                      base_seed=1 + i)
+             for i, (n, r) in enumerate(sizes)]
+    largest_first = ["ep 4x4", "ep 1x4", "ep 2x2", "ep 2x1", "ep 1x1"]
+    by_digest = {s.digest(): s.id for s in specs}
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        client = ServeClient(socket_path=cfg.resolved_socket())
+        rep = await _call(client, client.submit, _submit_records(specs))
+        assert [c["id"] for c in rep["cells"]] == [s.id for s in specs]
+        assert all(c["status"] == "ok" for c in rep["cells"])
+        # read before the drain compacts the journal away
+        with open(os.path.join(cfg.state_dir, "queue.jsonl")) as fp:
+            records = [json.loads(line) for line in fp]
+        await daemon.drain()
+        for kind in ("job", "done"):
+            assert [by_digest[r["id"]] for r in records
+                    if r["kind"] == kind] == largest_first, kind
+
+    asyncio.run(scenario())
+
+
 def test_identical_inflight_submissions_coalesce(tmp_path):
     cfg = _cfg(tmp_path)
     spec = _spec(0, sleep_s=0.8)
