@@ -22,8 +22,9 @@ Reuse crosses process boundaries through serialization, not shared
 memory: the sweep runner attaches its known records to each job it
 sends a :mod:`repro.runx.workproc` worker and absorbs the records the
 worker produces (:mod:`repro.runx.runner`), and the serve daemon does
-the same across its worker pool (:mod:`repro.serve.pool`), surfacing
-``engine.baseline_cache.{hits,misses}`` in ``repro-smm status``.
+the same for every job its pool slots (:mod:`repro.serve.pool`) and
+fleet agents run, surfacing ``engine.baseline_cache.{hits,misses}`` in
+``repro-smm status``.
 """
 
 from __future__ import annotations

@@ -2,19 +2,19 @@
 
 A :class:`WorkerChild` is one long-lived worker subprocess plus two
 reader threads (result lines on stdout, a bounded stderr tail).  The
-sweep runner keeps one per runner thread and the fleet agent keeps one
-per agent; the serve daemon's asyncio pool spawns the same module with
-:func:`spawn_argv` and :func:`worker_env`.  So there is one worker
-implementation, one protocol and one set of chaos hooks, and cells are
-byte-identical wherever they run.
+sweep runner keeps one per runner thread, the fleet agent one per
+agent, and the serve daemon's pool one per slot, driven from that
+slot's executor thread.  So there is one worker implementation, one
+protocol, one set of chaos hooks and one copy of the failure handling,
+and cells are byte-identical wherever they run.
 
 The failure contract: :meth:`WorkerChild.wait_result` returns the result
 record of the job in flight, or raises :class:`WorkerFailed` after
 killing and reaping the child — it died (``worker killed by signal N``,
 ``worker exited with status N``, ``worker produced no result record``),
 overran its watchdog (:class:`WorkerTimeout`), or went silent past the
-heartbeat limit.  A failure costs exactly the attempt in flight; the
-owner spawns a fresh child for the next one.  An in-band cell exception
+heartbeat limit (:class:`WorkerFrozen`).  A failure costs exactly the
+attempt in flight; the owner spawns a fresh child for the next one.  An in-band cell exception
 or a ``failed_in_sim`` reply is a normal result: the child stays alive.
 """
 
@@ -28,9 +28,9 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
-__all__ = ["WorkerChild", "WorkerFailed", "WorkerTimeout", "spawn_argv",
+__all__ = ["WorkerChild", "WorkerFailed", "WorkerFrozen", "WorkerTimeout",
            "worker_env"]
 
 #: How long a freshly spawned worker gets to import and print ``ready``.
@@ -53,17 +53,16 @@ def worker_env() -> Dict[str, str]:
     return env
 
 
-def spawn_argv() -> List[str]:
-    """The argv that launches one persistent worker."""
-    return [sys.executable, "-m", "repro.runx.workproc"]
-
-
 class WorkerFailed(Exception):
     """The child failed the attempt in flight and has been reaped."""
 
 
 class WorkerTimeout(WorkerFailed):
     """The watchdog deadline passed; the child was killed."""
+
+
+class WorkerFrozen(WorkerFailed):
+    """No line within the silence limit; the child was killed."""
 
 
 class WorkerChild:
@@ -77,13 +76,17 @@ class WorkerChild:
     def __init__(self, env: Optional[Dict[str, str]] = None):
         try:
             self.proc = subprocess.Popen(
-                spawn_argv(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                [sys.executable, "-m", "repro.runx.workproc"],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE, text=True, bufsize=1,
                 env=env if env is not None else worker_env())
         except OSError as exc:
             raise WorkerFailed(f"could not spawn worker: {exc}") from exc
         self._lines: "queue.Queue[Optional[Dict[str, Any]]]" = queue.Queue()
         self._tail: "collections.deque[str]" = collections.deque(maxlen=32)
+        #: unparsable stdout lines the reader dropped (chaos ``corrupt``,
+        #: stray prints); written by the stdout reader thread only.
+        self.garbage = 0
         self._readers = [
             threading.Thread(target=self._read_stdout, daemon=True,
                              name=f"worker-{self.proc.pid}-out"),
@@ -108,9 +111,11 @@ class WorkerChild:
             try:
                 rec = json.loads(line)
             except ValueError:
-                continue  # chaos corrupt / stray output: the reply is missing
+                rec = None
             if isinstance(rec, dict):
                 self._lines.put(rec)
+            else:  # chaos corrupt / stray output: the reply is missing
+                self.garbage += 1
         self._lines.put(None)  # EOF sentinel: the child is gone
 
     def _read_stderr(self) -> None:
@@ -177,7 +182,7 @@ class WorkerChild:
                 raise WorkerTimeout(f"watchdog timeout after {timeout_s:g}s")
             if silence_s is not None and now - last_line >= silence_s:
                 self.kill()
-                raise WorkerFailed(
+                raise WorkerFrozen(
                     f"worker frozen (no heartbeat for {silence_s:g}s)")
             if next_tick is not None and now >= next_tick:
                 next_tick = now + tick_s

@@ -1,10 +1,10 @@
 """The persistent cell worker: ``python -m repro.runx.workproc``.
 
-One worker runs many cells: its supervisor — the sweep runner and the
-fleet agent through :mod:`repro.runx.supervisor`, the serve daemon
-through :mod:`repro.serve.pool` — pays interpreter start-up and the
-executor imports once per (re)spawn, not once per cell.  The protocol
-is line-delimited JSON:
+One worker runs many cells: its supervisor,
+:class:`repro.runx.supervisor.WorkerChild` — driven by the sweep
+runner, the fleet agent and the serve daemon's pool alike — pays
+interpreter start-up and the executor imports once per (re)spawn, not
+once per cell.  The protocol is line-delimited JSON:
 
 stdin  ← ``{"kind": "job", "id": ..., "spec": {...CellSpec...},
             "seed": ..., "attempt": ..., "metrics": true?,

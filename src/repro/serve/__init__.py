@@ -19,10 +19,11 @@ headline feature:
 * :mod:`repro.serve.queue` — a durable fsync'd job journal in the
   `repro.runx.journal` record format: ``kill -9`` of the daemon loses no
   accepted job, and a restart replays exactly the unfinished work;
-* :mod:`repro.serve.pool` — asyncio supervision of the persistent
-  :mod:`repro.runx.workproc` workers the sweep runner also uses: heartbeat
-  monitoring, per-cell watchdog timeouts, bounded exponential-backoff
-  restarts;
+* :mod:`repro.serve.pool` — asyncio slots over the queue, each driving
+  one persistent :mod:`repro.runx.workproc` worker from a thread through
+  :class:`repro.runx.supervisor.WorkerChild`, the supervisor the sweep
+  runner and the fleet agent also use (heartbeat monitoring, per-cell
+  watchdog timeouts), with bounded exponential-backoff restarts;
 * :mod:`repro.serve.daemon` — the daemon itself: in-flight request
   coalescing, a circuit breaker that quarantines poisoned cells instead
   of crash-looping the pool, bounded queues, graceful drain on SIGTERM;

@@ -92,8 +92,6 @@ class ServeConfig:
     hb_timeout_s: float = 10.0
     max_attempts: int = 3
     max_pending: int = 256
-    restart_backoff_s: float = 0.1
-    max_backoff_s: float = 5.0
     #: revoke a remote lease after this long without a heartbeat
     #: (monotonic clock; must comfortably exceed the agent's hb_s).
     lease_s: float = 15.0
@@ -207,8 +205,7 @@ class ServeDaemon:
             self.pool = WorkerPool(
                 self._jobs_q, self._on_result, size=cfg.workers,
                 timeout_s=cfg.timeout_s, hb_timeout_s=cfg.hb_timeout_s,
-                restart_backoff_s=cfg.restart_backoff_s,
-                max_backoff_s=cfg.max_backoff_s, metrics=self.metrics,
+                metrics=self.metrics,
                 baseline_source=self._baselines_for,
             )
         self._replay_pending(state.pending)
@@ -696,15 +693,7 @@ class ServeDaemon:
         result = req.get("result")
         if not isinstance(result, dict):
             result = {"infra": True, "error": "malformed worker result"}
-        await self._on_result(lease.order, Outcome(
-            ok=bool(result.get("ok")),
-            value=result.get("value"),
-            error=result.get("error"),
-            failed_in_sim=bool(result.get("failed_in_sim")),
-            fault=result.get("fault"),
-            infra=bool(result.get("infra")),
-            baselines=result.get("baselines"),
-            baseline_stats=result.get("baseline_stats")))
+        await self._on_result(lease.order, Outcome.from_record(result))
         return {"ok": True, "accepted": True}
 
     # -- operator ops ----------------------------------------------------------

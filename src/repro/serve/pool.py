@@ -1,17 +1,19 @@
-"""Supervised worker pool: heartbeats, watchdogs, bounded-backoff restarts.
+"""Supervised worker pool: one worker per slot, bounded-backoff restarts.
 
-The pool owns N long-lived :mod:`repro.runx.workproc` subprocesses (the
-same worker the sweep runner and the fleet agent drive) and one asyncio
-task per worker slot.  Each slot loops: take a work order
-from the shared queue, hand it to the worker, and watch the worker's
-stdout until one of four things happens —
+Each of the pool's N slots owns one long-lived
+:class:`repro.runx.supervisor.WorkerChild` — the supervisor the sweep
+runner and the fleet agent drive — and one asyncio task.  The task
+loops: take a work order from the shared queue, then hand the blocking
+``submit`` + ``wait_result`` to the slot's own executor thread.  The
+child ends the attempt one of four ways —
 
-* a ``result`` line: the job is done (ok or in-band failure); deliver.
+* a ``result`` record: the job is done (ok or in-band failure); deliver.
 * EOF: the worker died mid-job (segfault, OOM kill, ``kill -9``); the
   attempt failed with ``infra=True`` and the slot respawns its worker.
-* the per-cell watchdog deadline passes: the cell is hung or diverging;
-  kill the worker, fail the attempt, respawn.
-* heartbeats stop arriving inside ``hb_timeout_s``: the *process* is
+* the per-cell watchdog deadline passes (``WorkerTimeout``): the cell
+  is hung or diverging; the child is killed, the attempt fails, the
+  slot respawns.
+* no line inside ``hb_timeout_s`` (``WorkerFrozen``): the *process* is
   frozen (a slow cell keeps beating; a wedged interpreter cannot); same
   treatment.
 
@@ -20,22 +22,30 @@ that dies at boot (bad install, chaos plan killing everything) costs an
 escalating pause instead of a hot crash-loop, and the backoff resets
 the moment a worker completes a job.  The pool never decides *job*
 fate — every outcome is handed to the daemon's callback, which owns
-retry counting and the circuit breaker.
+retry counting and the circuit breaker.  Counters change on the
+event-loop thread only (``Counter.inc`` takes no lock); the slot threads
+just spawn children and wait on them.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Awaitable, Callable, Dict, List, Optional
 
-from repro.runx.supervisor import BOOT_TIMEOUT_S, spawn_argv, worker_env
-from repro.serve.protocol import MAX_LINE
+from repro.obs.metrics import MetricsRegistry
+from repro.runx.supervisor import (WorkerChild, WorkerFailed, WorkerFrozen,
+                                   WorkerTimeout, worker_env)
 
 __all__ = ["WorkOrder", "Outcome", "WorkerPool"]
 
 log = logging.getLogger(__name__)
+
+#: Pause before the first respawn after a worker death; it doubles with
+#: each consecutive infrastructure failure up to MAX_BACKOFF_S.
+RESTART_BACKOFF_S = 0.1
+MAX_BACKOFF_S = 5.0
 
 
 class WorkOrder:
@@ -79,21 +89,36 @@ class Outcome:
         self.baselines = baselines
         self.baseline_stats = baseline_stats
 
+    @classmethod
+    def from_record(cls, rec: Dict[str, Any]) -> "Outcome":
+        """The outcome a worker ``result`` record (or a fleet agent's
+        copy of its fields, which may add ``infra``) describes."""
+        ok = bool(rec.get("ok"))
+        return cls(
+            ok=ok, value=rec.get("value"),
+            error=None if ok else str(rec.get("error", "?")),
+            failed_in_sim=bool(rec.get("failed_in_sim")),
+            fault=rec.get("fault"), infra=bool(rec.get("infra")),
+            baselines=rec.get("baselines"),
+            baseline_stats=rec.get("baseline_stats"))
+
 
 class _Slot:
-    __slots__ = ("index", "proc", "state", "job", "jobs_done", "restarts")
+    __slots__ = ("index", "child", "state", "job", "jobs_done", "restarts",
+                 "garbage")
 
     def __init__(self, index: int):
         self.index = index
-        self.proc: Optional[asyncio.subprocess.Process] = None
+        self.child: Optional[WorkerChild] = None
         self.state = "starting"
         self.job: Optional[str] = None
         self.jobs_done = 0
         self.restarts = 0
+        self.garbage = 0  # the child's garbage lines already counted
 
 
 class WorkerPool:
-    """N supervised workproc subprocesses feeding on one asyncio queue."""
+    """N supervised workproc children feeding on one asyncio queue."""
 
     def __init__(
         self,
@@ -102,9 +127,7 @@ class WorkerPool:
         size: int = 2,
         timeout_s: Optional[float] = 300.0,
         hb_timeout_s: float = 10.0,
-        restart_backoff_s: float = 0.1,
-        max_backoff_s: float = 5.0,
-        metrics=None,
+        metrics: Optional[MetricsRegistry] = None,
         baseline_source: Optional[Callable[[Dict[str, Any]],
                                            Optional[list]]] = None,
     ):
@@ -115,10 +138,9 @@ class WorkerPool:
         self.size = size
         self.timeout_s = timeout_s
         self.hb_timeout_s = hb_timeout_s
-        self.restart_backoff_s = restart_backoff_s
-        self.max_backoff_s = max_backoff_s
         self._slots = [_Slot(i) for i in range(size)]
         self._tasks: List[asyncio.Task] = []
+        self._executor: Optional[ThreadPoolExecutor] = None
         self._stopping = False
         self._env = worker_env()
         #: Called with the spec record as a job is dispatched; returns the
@@ -126,25 +148,22 @@ class WorkerPool:
         #: Evaluated at dispatch (not enqueue) time so a job queued behind
         #: the cell that produces its baseline still benefits from it.
         self._baseline_source = baseline_source
-        if metrics is not None:
-            self._c_spawned = metrics.counter(
-                "serve.workers.spawned", "worker subprocesses started")
-            self._c_restarts = metrics.counter(
-                "serve.workers.restarts", "workers respawned after dying")
-            self._c_timeouts = metrics.counter(
-                "serve.jobs.timeouts", "attempts killed by the watchdog")
-            self._c_hb_lost = metrics.counter(
-                "serve.workers.hb_lost",
-                "workers killed for missing heartbeats")
-            self._c_garbage = metrics.counter(
-                "serve.protocol.garbage",
-                "unparsable lines read from workers")
-        else:
-            self._c_spawned = self._c_restarts = self._c_timeouts = None
-            self._c_hb_lost = self._c_garbage = None
+        m = metrics if metrics is not None else MetricsRegistry()
+        self._c_spawned = m.counter(
+            "serve.workers.spawned", "worker subprocesses started")
+        self._c_restarts = m.counter(
+            "serve.workers.restarts", "workers respawned after dying")
+        self._c_timeouts = m.counter(
+            "serve.jobs.timeouts", "attempts killed by the watchdog")
+        self._c_hb_lost = m.counter(
+            "serve.workers.hb_lost", "workers killed for missing heartbeats")
+        self._c_garbage = m.counter(
+            "serve.protocol.garbage", "unparsable lines read from workers")
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
+        self._executor = ThreadPoolExecutor(
+            self.size, thread_name_prefix="serve-slot")
         self._tasks = [asyncio.create_task(
             self._slot_loop(slot), name=f"serve-slot-{slot.index}")
             for slot in self._slots]
@@ -153,22 +172,35 @@ class WorkerPool:
         """Tear the pool down.  Call with the queue drained and no job
         in flight for a graceful stop; anything still running is killed."""
         self._stopping = True
+        # A busy slot's thread is blocked in wait_result; killing its
+        # child ends that wait with EOF, so the executor can shut down.
+        for slot in self._slots:
+            if slot.state == "busy" and slot.child is not None:
+                slot.child.kill()
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks = []
+        await asyncio.get_running_loop().run_in_executor(None, self._shutdown)
         for slot in self._slots:
-            if slot.proc is not None:
-                await self._close_worker(slot.proc)
-                slot.proc = None
+            slot.child = None
             slot.state = "stopped"
+
+    def _shutdown(self) -> None:
+        """Off the loop: wait out the slot threads (a spawn in flight
+        lands its child on the slot), then close every child."""
+        if self._executor is not None:
+            self._executor.shutdown()
+        for slot in self._slots:
+            if slot.child is not None:
+                slot.child.close()
 
     def snapshot(self) -> List[Dict[str, Any]]:
         """Status rows for the local slots; ``kind`` distinguishes them
         from the remote fleet leases `repro-smm status` merges in."""
         return [
             {"kind": "local", "slot": s.index,
-             "pid": s.proc.pid if s.proc is not None else None,
+             "pid": s.child.proc.pid if s.child is not None else None,
              "state": s.state, "job": s.job, "jobs_done": s.jobs_done,
              "restarts": s.restarts}
             for s in self._slots
@@ -176,80 +208,55 @@ class WorkerPool:
 
     # -- per-slot supervision loop --------------------------------------------
     async def _slot_loop(self, slot: _Slot) -> None:
-        backoff = self.restart_backoff_s
         try:
-            while not self._stopping:
-                slot.state = "starting"
-                slot.proc = await self._spawn()
-                if self._c_spawned is not None:
-                    self._c_spawned.inc()
-                if not await self._await_ready(slot.proc):
-                    await self._close_worker(slot.proc)
-                    slot.proc = None
-                    slot.state = "backoff"
-                    slot.restarts += 1
-                    if self._c_restarts is not None:
-                        self._c_restarts.inc()
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2, self.max_backoff_s)
-                    continue
-                alive = True
-                while alive and not self._stopping:
-                    slot.state = "idle"
-                    order = await self.queue.get()
-                    if order.dead:
-                        continue
-                    slot.state = "busy"
-                    slot.job = order.digest
-                    outcome, alive = await self._execute(slot.proc, order)
-                    slot.job = None
-                    slot.jobs_done += 1
-                    if not outcome.infra:
-                        backoff = self.restart_backoff_s
-                    await self.on_result(order, outcome)
-                # worker died or was killed: respawn after backoff
-                if slot.proc is not None:
-                    await self._close_worker(slot.proc)
-                    slot.proc = None
-                if not self._stopping:
-                    slot.state = "backoff"
-                    slot.restarts += 1
-                    if self._c_restarts is not None:
-                        self._c_restarts.inc()
-                    await asyncio.sleep(backoff)
-                    backoff = min(backoff * 2, self.max_backoff_s)
-        except asyncio.CancelledError:
-            raise
-        except Exception:  # pragma: no cover — supervision must not die
+            await self._supervise(slot)
+        except Exception:  # pragma: no cover — never die silently
             log.exception("slot %d: supervision loop crashed", slot.index)
             raise
 
-    async def _spawn(self) -> asyncio.subprocess.Process:
-        return await asyncio.create_subprocess_exec(
-            *spawn_argv(),
-            stdin=asyncio.subprocess.PIPE, stdout=asyncio.subprocess.PIPE,
-            env=self._env, limit=MAX_LINE,
-        )
+    async def _supervise(self, slot: _Slot) -> None:
+        loop = asyncio.get_running_loop()
+        backoff = RESTART_BACKOFF_S
+        while not self._stopping:
+            slot.state = "starting"
+            try:
+                await loop.run_in_executor(self._executor, self._spawn, slot)
+            except WorkerFailed as exc:
+                log.warning("slot %d: %s", slot.index, exc)
+            self._c_spawned.inc()
+            while slot.child is not None and not self._stopping:
+                slot.state = "idle"
+                order = await self.queue.get()
+                if order.dead:
+                    continue
+                slot.state = "busy"
+                slot.job = order.digest
+                outcome = await self._execute(slot, order)
+                slot.job = None
+                slot.jobs_done += 1
+                if outcome.infra:
+                    # killed and reaped by its failure; release its pipes
+                    dead, slot.child = slot.child, None
+                    slot.garbage = 0
+                    await loop.run_in_executor(self._executor, dead.close)
+                else:
+                    backoff = RESTART_BACKOFF_S
+                await self.on_result(order, outcome)
+            if not self._stopping:
+                slot.state = "backoff"
+                slot.restarts += 1
+                self._c_restarts.inc()
+                await asyncio.sleep(backoff)
+                backoff = min(backoff * 2, MAX_BACKOFF_S)
 
-    async def _await_ready(self, proc: asyncio.subprocess.Process) -> bool:
-        try:
-            line = await asyncio.wait_for(
-                proc.stdout.readline(), BOOT_TIMEOUT_S)
-        except asyncio.TimeoutError:
-            log.warning("worker pid %s: no ready line, killing", proc.pid)
-            return False
-        if not line:
-            return False
-        try:
-            return json.loads(line).get("kind") == "ready"
-        except ValueError:
-            return False
+    def _spawn(self, slot: _Slot) -> None:
+        """Slot thread: boot a worker.  The child lands on the slot here,
+        not through the future, so a stop that cancels the wait still
+        finds it to close."""
+        slot.child = WorkerChild(self._env)
 
     # -- one attempt ----------------------------------------------------------
-    async def _execute(
-        self, proc: asyncio.subprocess.Process, order: WorkOrder,
-    ) -> tuple:
-        """Returns ``(outcome, worker_still_alive)``."""
+    async def _execute(self, slot: _Slot, order: WorkOrder) -> Outcome:
         job: Dict[str, Any] = {
             "kind": "job", "id": order.digest, "spec": order.spec_rec,
             "seed": order.seed, "attempt": order.attempt}
@@ -257,92 +264,28 @@ class WorkerPool:
             known = self._baseline_source(order.spec_rec)
             if known:
                 job["baselines"] = known
-        req = json.dumps(job, separators=(",", ":")) + "\n"
+        child = slot.child
         try:
-            proc.stdin.write(req.encode())
-            await proc.stdin.drain()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            return Outcome(error="worker died before accepting the job",
-                           infra=True), False
-        loop = asyncio.get_running_loop()
-        deadline = (loop.time() + self.timeout_s
-                    if self.timeout_s is not None else None)
-        while True:
-            wait = self.hb_timeout_s
-            if deadline is not None:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    await self._kill(proc)
-                    if self._c_timeouts is not None:
-                        self._c_timeouts.inc()
-                    return Outcome(
-                        error=f"watchdog timeout after {self.timeout_s:g}s",
-                        infra=True), False
-                wait = min(wait, remaining)
-            try:
-                line = await asyncio.wait_for(proc.stdout.readline(), wait)
-            except asyncio.TimeoutError:
-                if deadline is not None and loop.time() >= deadline:
-                    await self._kill(proc)
-                    if self._c_timeouts is not None:
-                        self._c_timeouts.inc()
-                    return Outcome(
-                        error=f"watchdog timeout after {self.timeout_s:g}s",
-                        infra=True), False
-                await self._kill(proc)
-                if self._c_hb_lost is not None:
-                    self._c_hb_lost.inc()
-                return Outcome(
-                    error=f"no heartbeat for {self.hb_timeout_s:g}s "
-                          "(worker frozen)", infra=True), False
-            if not line:
-                rc = proc.returncode
-                await proc.wait()
-                rc = proc.returncode if rc is None else rc
-                died = (f"worker killed by signal {-rc}" if rc and rc < 0
-                        else f"worker exited with status {rc}")
-                return Outcome(error=died + " mid-job", infra=True), False
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                # Chaos 'corrupt', a logging handler on stdout, partial
-                # writes from a dying worker: count it and keep reading —
-                # the watchdog still bounds how long we will.
-                if self._c_garbage is not None:
-                    self._c_garbage.inc()
-                continue
-            kind = rec.get("kind")
-            if kind == "hb":
-                continue
-            if kind == "result" and rec.get("id") == order.digest:
-                if rec.get("ok"):
-                    return Outcome(
-                        ok=True, value=rec.get("value"),
-                        baselines=rec.get("baselines"),
-                        baseline_stats=rec.get("baseline_stats")), True
-                return Outcome(
-                    error=str(rec.get("error", "?")),
-                    failed_in_sim=bool(rec.get("failed_in_sim")),
-                    fault=rec.get("fault")), True
-            # stale result for a job we already gave up on: drop it.
+            rec = await asyncio.get_running_loop().run_in_executor(
+                self._executor, self._attempt, child, job)
+        except WorkerFailed as exc:
+            if isinstance(exc, WorkerTimeout):
+                self._c_timeouts.inc()
+            elif isinstance(exc, WorkerFrozen):
+                self._c_hb_lost.inc()
+            return Outcome(error=str(exc), infra=True)
+        finally:
+            # Chaos 'corrupt', a logging handler on stdout, partial
+            # writes from a dying worker: the child dropped them.
+            seen = child.garbage
+            self._c_garbage.inc(seen - slot.garbage)
+            slot.garbage = seen
+        return Outcome.from_record(rec)
 
-    async def _kill(self, proc: asyncio.subprocess.Process) -> None:
-        try:
-            proc.kill()
-        except ProcessLookupError:
-            pass
-        await proc.wait()
-
-    async def _close_worker(self, proc: asyncio.subprocess.Process) -> None:
-        """EOF-then-kill: give an idle worker a moment to exit cleanly."""
-        if proc.returncode is not None:
-            return
-        try:
-            if proc.stdin is not None:
-                proc.stdin.close()
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
-        try:
-            await asyncio.wait_for(proc.wait(), 2.0)
-        except asyncio.TimeoutError:
-            await self._kill(proc)
+    def _attempt(self, child: WorkerChild, job: Dict[str, Any]
+                 ) -> Dict[str, Any]:
+        """Slot thread: one job on ``child``, blocking until its result
+        record; raises WorkerFailed with the child reaped."""
+        child.submit(job)
+        return child.wait_result(job["id"], timeout_s=self.timeout_s,
+                                 silence_s=self.hb_timeout_s)

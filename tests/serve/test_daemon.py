@@ -10,6 +10,8 @@ so every test's assertion about byte-identity is exact, and chaos plans
 import asyncio
 import json
 import os
+import signal
+import time
 
 import pytest
 
@@ -30,7 +32,6 @@ def _cfg(tmp_path, **kw):
     kw.setdefault("workers", 1)
     kw.setdefault("timeout_s", 60.0)
     kw.setdefault("hb_timeout_s", 10.0)
-    kw.setdefault("restart_backoff_s", 0.05)
     return ServeConfig(state_dir=str(tmp_path / "state"), **kw)
 
 
@@ -46,6 +47,17 @@ def _submit_records(specs):
 
 def _counter(daemon, name):
     return daemon.metrics.counter(name).value
+
+
+async def _busy_pid(daemon, timeout_s=30.0):
+    """The pid of the first local slot once it is running a job."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        row = daemon.pool.snapshot()[0]
+        if row["state"] == "busy" and row["pid"]:
+            return row["pid"]
+        await asyncio.sleep(0.02)
+    raise AssertionError("no worker ever went busy")
 
 
 def test_submit_computes_then_serves_from_cache(tmp_path):
@@ -178,6 +190,92 @@ def test_hung_cell_killed_by_watchdog_then_retried(tmp_path, monkeypatch):
         assert rep["cells"][0]["attempts"] == 2
         assert _counter(daemon, "serve.jobs.timeouts") == 1
         await daemon.drain()
+
+    asyncio.run(scenario())
+
+
+def test_frozen_worker_killed_on_heartbeat_silence_then_retried(tmp_path):
+    """SIGSTOP freezes the whole interpreter, heartbeat thread included:
+    the slot kills it after hb_timeout_s of silence, well inside the
+    watchdog, and the retry on a fresh worker succeeds."""
+    cfg = _cfg(tmp_path, hb_timeout_s=1.5)
+    spec = _spec(0, sleep_s=3.0)
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        client = ServeClient(socket_path=cfg.resolved_socket())
+        sub = asyncio.ensure_future(
+            _call(client, client.submit, _submit_records([spec])))
+        os.kill(await _busy_pid(daemon), signal.SIGSTOP)
+        rep = await sub
+        cell = rep["cells"][0]
+        assert cell["status"] == "ok"
+        assert cell["attempts"] == 2
+        assert _counter(daemon, "serve.workers.hb_lost") == 1
+        assert _counter(daemon, "serve.jobs.timeouts") == 0
+        await daemon.drain()
+
+    asyncio.run(scenario())
+
+
+def test_corrupt_worker_output_counted_then_retried(tmp_path, monkeypatch):
+    """Chaos 'corrupt' prints a garbage line instead of a result and
+    exits 0: the line is counted, the attempt is an infra failure, and
+    the same-seed retry is byte-identical to a clean run."""
+    spec = _spec(0, reps=3)
+    plan = tmp_path / "plan.json"
+    FaultPlan([FaultRule(match=spec.id, fault="corrupt",
+                         attempts=(0,))]).write(str(plan))
+    monkeypatch.setenv(PLAN_ENV, str(plan))
+    cfg = _cfg(tmp_path)
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        client = ServeClient(socket_path=cfg.resolved_socket())
+        rep = await _call(client, client.submit, _submit_records([spec]))
+        cell = rep["cells"][0]
+        assert cell["status"] == "ok"
+        assert cell["attempts"] == 2
+        assert cell["value"] == run_cell(spec.fn, spec.params, spec.base_seed)
+        assert _counter(daemon, "serve.protocol.garbage") >= 1
+        assert _counter(daemon, "serve.jobs.requeued") == 1
+        await daemon.drain()
+
+    asyncio.run(scenario())
+
+
+def test_pool_stop_kills_a_hung_cell_in_flight(tmp_path, monkeypatch):
+    """Stopping the pool never waits out a hung cell: the busy worker is
+    killed and reaped, so stop() returns promptly."""
+    spec = _spec(0)
+    plan = tmp_path / "plan.json"
+    FaultPlan([FaultRule(match=spec.id, fault="hang", attempts=(0,),
+                         hang_s=60.0)]).write(str(plan))
+    monkeypatch.setenv(PLAN_ENV, str(plan))
+    cfg = _cfg(tmp_path)
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        client = ServeClient(socket_path=cfg.resolved_socket())
+        await _call(client, client.submit, _submit_records([spec]),
+                    wait=False)
+        pid = await _busy_pid(daemon)
+        t0 = time.monotonic()
+        await daemon.pool.stop()
+        assert time.monotonic() - t0 < 2.5
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        assert all(row["state"] == "stopped" and row["pid"] is None
+                   for row in daemon.pool.snapshot())
+        # the job is still owed: tear down without a drain, as a kill would
+        for server in daemon._servers:
+            server.close()
+            await server.wait_closed()
+        daemon._lease_reaper_task.cancel()
+        daemon._lock.release()
 
     asyncio.run(scenario())
 
