@@ -831,12 +831,9 @@ def _serve_status(args: argparse.Namespace) -> int:
     cache = st.get("cache", {})
     print(f"cache: {cache.get('entries', 0)} entries at "
           f"{cache.get('root', '?')}")
-    engine = st.get("engine", {})
-    if engine:
-        bl = engine.get("baseline_cache", {})
-        print(f"engine: baseline cache {bl.get('entries', 0)} entries "
-              f"({bl.get('hits', 0)} hits, {bl.get('misses', 0)} misses, "
-              f"{bl.get('evictions', 0)} evictions)")
+    counters = dict(st.get("counters", {}))
+    print(f"attr: {counters.pop('attr.baseline.hits', 0):g} baseline hits, "
+          f"{counters.pop('attr.baseline.misses', 0):g} misses")
     for w in workers:
         print(f"  worker {w['slot']}: pid {w.get('pid')} {w['state']}"
               + (f" job {w['job']}" if w.get("job") else "")
@@ -856,7 +853,6 @@ def _serve_status(args: argparse.Namespace) -> int:
             print(f"  lease {lease['digest'][:12]} -> "
                   f"{lease['worker_id']} (token {lease['token']}, "
                   f"expires in {lease.get('expires_in_s', 0):.1f}s)")
-    counters = st.get("counters", {})
     for name in sorted(counters):
         print(f"  {name:<32} {counters[name]:g}")
     return 0

@@ -18,13 +18,14 @@ the projection preserves every number exactly (ints verbatim; floats
 survive JSON round-trips bit-for-bit), a decomposition against a cached
 baseline is identical to one against a fresh run.
 
-Reuse crosses process boundaries through serialization, not shared
-memory: the sweep runner attaches its known records to each job it
-sends a :mod:`repro.runx.workproc` worker and absorbs the records the
-worker produces (:mod:`repro.runx.runner`), and the serve daemon does
-the same for every job its pool slots (:mod:`repro.serve.pool`) and
-fleet agents run, surfacing ``engine.baseline_cache.{hits,misses}`` in
-``repro-smm status``.
+Reuse is per process: each process keeps one :func:`global_store`, and
+a persistent :mod:`repro.runx.workproc` worker keeps it across every
+cell it runs, whether the sweep runner, a serve pool slot or a fleet
+agent drives it.  Nothing crosses a process boundary.  A worker that
+misses simply simulates the baseline itself, which yields the same
+bytes, because the zero-SMI run is deterministic.  Each worker result
+carries its job's hit/miss delta (``baseline_stats``), and the serve
+daemon sums those into ``attr.baseline.{hits,misses}``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, Optional
 
 __all__ = [
     "baseline_digest",
@@ -137,33 +139,22 @@ class BaselineProfile:
         return cls(rec.get("elapsed_app_s"), rec["span_ns"], ranks)
 
 
-#: Default LRU capacity of a baseline store (``REPRO_BASELINE_CACHE_MAX``
-#: overrides).  Records are slim (a few hundred bytes per rank) but a
-#: daemon-lifetime store would otherwise grow without bound.
+#: LRU capacity of a baseline store.  Records are slim (a few hundred
+#: bytes per rank), but a daemon's or fleet agent's worker outlives many
+#: submits, and its store would otherwise grow without bound.
 DEFAULT_BASELINE_CACHE_MAX = 256
 
 
 class BaselineStore:
     """Digest-keyed LRU baseline cache with hit/miss/eviction accounting.
 
-    Thread-safe: the sweep runner's worker threads and the attribution
-    engine may share one instance.  ``put`` tracks which digests this
-    process produced so :meth:`drain_new` can ship exactly the fresh
-    records upstream (worker reply → runner / daemon) without resending
-    what came down in the request.
+    Thread-safe: an inline sweep with ``jobs > 1`` runs its cells on
+    threads that share the process's :func:`global_store`.
     """
 
-    def __init__(self, max_entries: Optional[int] = None):
-        import os
-        from collections import OrderedDict
-
-        if max_entries is None:
-            max_entries = int(os.environ.get(
-                "REPRO_BASELINE_CACHE_MAX", DEFAULT_BASELINE_CACHE_MAX))
-        self.max_entries = max(1, max_entries)
+    def __init__(self):
         self._lock = threading.Lock()
         self._records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._new: List[str] = []
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -183,46 +174,17 @@ class BaselineStore:
             self.hits += 1
         return BaselineProfile.from_record(rec)
 
-    def _evict_over_cap(self) -> None:
-        # Caller holds the lock.  Oldest-touched entries go first; an
-        # evicted baseline simply gets re-simulated on its next miss.
-        while len(self._records) > self.max_entries:
-            self._records.popitem(last=False)
-            self.evictions += 1
-
     def put(self, digest: str, profile: BaselineProfile) -> None:
-        """Record a freshly computed baseline (marked for drain_new)."""
+        """Record a freshly computed baseline.  Past the cap the
+        oldest-touched entry goes; an evicted baseline simply gets
+        re-simulated on its next miss."""
         rec = profile.to_record()
         with self._lock:
             if digest not in self._records:
                 self._records[digest] = rec
-                self._new.append(digest)
-                self._evict_over_cap()
-
-    def absorb(self, pairs) -> None:
-        """Merge ``[[digest, record], ...]`` from an upstream cache —
-        not counted as hits/misses and not re-exported by drain_new."""
-        with self._lock:
-            for digest, rec in pairs:
-                self._records.setdefault(digest, rec)
-            self._evict_over_cap()
-
-    def export_all(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """Every known ``(digest, record)`` pair — what a dispatcher
-        attaches to a worker request."""
-        with self._lock:
-            return [(d, rec) for d, rec in self._records.items()]
-
-    def drain_new(self) -> List[Tuple[str, Dict[str, Any]]]:
-        """``(digest, record)`` pairs :meth:`put` added since the last
-        drain — what a worker sends back upstream.  A record evicted
-        before it was drained is gone (the cap bounds memory, not the
-        wire) and is skipped here."""
-        with self._lock:
-            out = [(d, self._records[d]) for d in self._new
-                   if d in self._records]
-            self._new = []
-            return out
+                while len(self._records) > DEFAULT_BASELINE_CACHE_MAX:
+                    self._records.popitem(last=False)
+                    self.evictions += 1
 
     def stats(self) -> Dict[str, int]:
         with self._lock:

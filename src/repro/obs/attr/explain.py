@@ -78,8 +78,8 @@ def attribute_cell(
     ``baselines`` is the :class:`~repro.obs.attr.baseline.BaselineStore`
     to memoize the zero-SMI run through; ``None`` uses the process-wide
     store, so every noisy class of one configuration within a process
-    (and, via the runner/daemon wiring, across worker processes) pays
-    for exactly one baseline simulation.
+    (a persistent worker included, across the cells it runs) pays for
+    exactly one baseline simulation.
 
     ``baseline_seed`` keys (and seeds) the zero-SMI run; ``None`` uses
     the noisy ``seed``.  The zero-SMI simulation is seed-deterministic,

@@ -91,7 +91,6 @@ class SweepRunner:
         manifest=None,
         journal=None,
         progress: Optional[Callable[[str], None]] = None,
-        baselines=None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -108,13 +107,6 @@ class SweepRunner:
         self.manifest = manifest
         self.journal = journal
         self.progress = progress
-        #: Shared-baseline store for ``--attr`` sweeps: worker requests
-        #: carry every record the sweep has produced so far, and worker
-        #: replies feed new records back, so one zero-SMI baseline run
-        #: serves every SMI class of its configuration across the whole
-        #: sweep (and across process boundaries).  Lazily created on
-        #: first use; pass one in to share it across runners.
-        self.baselines = baselines
         self._lock = threading.Lock()
         self._drain = threading.Event()
         self._done = 0
@@ -319,17 +311,6 @@ class SweepRunner:
                         None)
         return self._attempt_process(spec, attempt, seed)
 
-    def _baseline_store(self):
-        store = self.baselines
-        if store is None:
-            with self._lock:
-                if self.baselines is None:
-                    from repro.obs.attr.baseline import BaselineStore
-
-                    self.baselines = BaselineStore()
-                store = self.baselines
-        return store
-
     def _child(self):
         """This thread's worker child, spawned (or respawned after a
         failure killed the last one) on demand."""
@@ -359,10 +340,6 @@ class SweepRunner:
                      "seed": seed, "attempt": attempt}
         if self.metrics is not None:
             job["metrics"] = True
-        if spec.params.get("attr"):
-            known = self._baseline_store().export_all()
-            if known:
-                job["baselines"] = known
         try:
             child = self._child()
             child.submit(job)
@@ -374,8 +351,6 @@ class SweepRunner:
             return None, str(exc), None
         except WorkerFailed as exc:
             return None, str(exc), None
-        if reply.get("baselines"):
-            self._baseline_store().absorb(reply["baselines"])
         if self.metrics is not None and reply.get("metrics"):
             with self._lock:
                 self.metrics.merge_snapshot(reply["metrics"])

@@ -7,17 +7,18 @@ interpreter start-up and the executor imports once per (re)spawn, not
 once per cell.  The protocol is line-delimited JSON:
 
 stdin  ← ``{"kind": "job", "id": ..., "spec": {...CellSpec...},
-            "seed": ..., "attempt": ..., "metrics": true?,
-            "baselines": [...]?}``
+            "seed": ..., "attempt": ..., "metrics": true?}``
 stdout → ``{"kind": "ready", "pid": ...}`` once, after the imports,
          ``{"kind": "hb", "id": ...}`` every beat *while a job runs*,
          ``{"kind": "result", "id": ..., "ok": ...}`` per job.
 
 A result carries the payload (``value``) or the in-band failure
 (``error``; ``failed_in_sim`` + ``fault`` for a deterministic in-sim
-death), plus this job's own deltas: fresh shared-baseline records and
-hit/miss counts, and — with ``"metrics": true`` — the snapshot of a
-registry created for this job alone.
+death), plus this job's own deltas: the hit/miss counts of the
+process-wide baseline store (which lives as long as the worker, so
+later attr cells reuse the zero-SMI runs of earlier ones) and — with
+``"metrics": true`` — the snapshot of a registry created for this job
+alone.
 Heartbeats let a supervisor tell a frozen interpreter from a slow cell.
 EOF on stdin is the shutdown signal: the worker exits 0.
 
@@ -98,21 +99,6 @@ def _baseline_stats() -> tuple:
     return store.hits, store.misses
 
 
-def _attach_baselines(result: Dict[str, Any], h0: int, m0: int) -> None:
-    """Add freshly computed baseline records and this job's hit/miss
-    delta (the store outlives the job, so the tally is differenced)."""
-    mod = sys.modules.get("repro.obs.attr.baseline")
-    if mod is None:
-        return
-    store = mod.global_store()
-    new = store.drain_new()
-    if new:
-        result["baselines"] = new
-    dh, dm = store.hits - h0, store.misses - m0
-    if dh or dm:
-        result["baseline_stats"] = {"hits": dh, "misses": dm}
-
-
 def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
     from repro.faults import FaultedRunError
     from repro.obs.metrics import MetricsRegistry
@@ -136,13 +122,6 @@ def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
         if rule is not None:
             apply_fault(rule)  # kill never returns; others raise SystemExit
 
-    # Shared-baseline seeding: the supervisor attaches the baseline
-    # records its sweep already holds; attr cells then skip the zero-SMI
-    # replay (repro.obs.attr.baseline).
-    if req.get("baselines"):
-        from repro.obs.attr.baseline import global_store
-
-        global_store().absorb(req["baselines"])
     h0, m0 = _baseline_stats()
     registry = MetricsRegistry() if req.get("metrics") else None
 
@@ -150,7 +129,10 @@ def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
     try:
         result.update(ok=True, value=run_cell(
             fn, spec.get("params", {}), seed, metrics=registry))
-        _attach_baselines(result, h0, m0)
+        # The store outlives the job, so the tally is differenced.
+        h1, m1 = _baseline_stats()
+        if (h1, m1) != (h0, m0):
+            result["baseline_stats"] = {"hits": h1 - h0, "misses": m1 - m0}
     except FaultedRunError as exc:
         # Deterministic in-sim death: terminal, never worth a retry.
         result.update(ok=False, failed_in_sim=True, error=str(exc),

@@ -198,8 +198,6 @@ class WorkerAgent:
         digest, token = lease["digest"], lease["token"]
         job = {"kind": "job", "id": digest, "spec": lease["spec"],
                "seed": lease["seed"], "attempt": lease.get("attempt", 0)}
-        if lease.get("baselines"):
-            job["baselines"] = lease["baselines"]
         timeout_s = lease.get("timeout_s")
 
         def renew() -> None:
@@ -253,7 +251,7 @@ class WorkerAgent:
     def _result_fields(rec: Dict[str, Any]) -> Dict[str, Any]:
         return {k: rec[k] for k in
                 ("ok", "value", "error", "failed_in_sim", "fault",
-                 "baselines", "baseline_stats")
+                 "baseline_stats")
                 if k in rec}
 
     def _deliver(self, digest: str, token: int,

@@ -120,18 +120,8 @@ class ServeDaemon:
 
     def __init__(self, config: ServeConfig,
                  metrics: Optional[MetricsRegistry] = None):
-        from repro.obs.attr.baseline import BaselineStore
-
         self.config = config
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        #: Daemon-lifetime pool of zero-SMI baseline profiles.  Workers
-        #: return every baseline they compute (Outcome.baselines); the
-        #: daemon ships the accumulated set back out with each
-        #: attribution job, so one (bench, class, shape, seed) config
-        #: pays for its baseline once per daemon, not once per cell.
-        self.baselines = BaselineStore()
-        self._baseline_hits = 0
-        self._baseline_misses = 0
         self._lock = SingleWriterLock(
             os.path.join(config.state_dir, "daemon.lock"))
         self.cache: Optional[ResultCache] = None
@@ -183,6 +173,13 @@ class ServeDaemon:
         self._c_q_cleared = m.counter(
             "serve.quarantine.cleared", "quarantined cells forgotten by "
             "the clear-quarantine operator op")
+        # The sums of the per-job baseline_stats that pool and fleet
+        # workers report; the stores themselves stay in the workers.
+        self._c_bl_hits = m.counter(
+            "attr.baseline.hits",
+            "baseline runs satisfied from the shared store")
+        self._c_bl_misses = m.counter(
+            "attr.baseline.misses", "baseline runs simulated")
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
@@ -206,7 +203,6 @@ class ServeDaemon:
                 self._jobs_q, self._on_result, size=cfg.workers,
                 timeout_s=cfg.timeout_s, hb_timeout_s=cfg.hb_timeout_s,
                 metrics=self.metrics,
-                baseline_source=self._baselines_for,
             )
         self._replay_pending(state.pending)
         if self.pool is not None:
@@ -484,15 +480,6 @@ class ServeDaemon:
             entry.update(await fut)
         return {"ok": True, "cells": entries, "stats": stats}
 
-    def _baselines_for(self, spec_rec: Dict[str, Any]) -> Optional[list]:
-        """Pool dispatch hook: seed an attribution job with every
-        baseline record the daemon has accumulated.  Non-attr cells get
-        nothing — they could not use the records and the job line stays
-        small."""
-        if not (spec_rec.get("params") or {}).get("attr"):
-            return None
-        return self.baselines.export_all() or None
-
     # -- result flow ----------------------------------------------------------
     def _journal_safe(self, write, what: str) -> None:
         """Best-effort *terminal*-record append: a full disk must not
@@ -507,14 +494,12 @@ class ServeDaemon:
             log.error("journal %s record lost (result kept): %s", what, exc)
 
     async def _on_result(self, order: WorkOrder, outcome: Outcome) -> None:
-        # Harvest baselines before any terminal-state checks: even a
-        # result that raced a quarantine carries profiles worth keeping.
-        if outcome.baselines:
-            self.baselines.absorb(outcome.baselines)
+        # Counted before any terminal-state checks: a result that raced
+        # a quarantine still ran its baseline lookups.
         if outcome.baseline_stats:
-            self._baseline_hits += int(outcome.baseline_stats.get("hits", 0))
-            self._baseline_misses += int(
-                outcome.baseline_stats.get("misses", 0))
+            self._c_bl_hits.inc(int(outcome.baseline_stats.get("hits", 0)))
+            self._c_bl_misses.inc(
+                int(outcome.baseline_stats.get("misses", 0)))
         job = self._inflight.get(order.digest)
         if job is None or job.order is not order:
             return  # already terminal (e.g. quarantine raced a kill)
@@ -653,9 +638,6 @@ class ServeDaemon:
         }
         if self.config.timeout_s:
             body["timeout_s"] = self.config.timeout_s
-        baselines = self._baselines_for(order.spec_rec)
-        if baselines:
-            body["baselines"] = baselines
         return {"ok": True, "lease": body}
 
     def _op_worker_heartbeat(self, req: Dict[str, Any],
@@ -738,7 +720,8 @@ class ServeDaemon:
             name: inst.value
             for name, inst in (
                 (n, self.metrics.get(n)) for n in self.metrics.names())
-            if name.startswith("serve.") and hasattr(inst, "value")
+            if name.startswith(("serve.", "attr."))
+            and hasattr(inst, "value")
         }
         return {
             "ok": True,
@@ -751,14 +734,6 @@ class ServeDaemon:
             "fleet": (self.fleet.snapshot()
                       if self.fleet is not None else None),
             "cache": {"entries": len(self.cache), "root": self.cache.root},
-            "engine": {
-                "baseline_cache": {
-                    "entries": len(self.baselines),
-                    "hits": self._baseline_hits,
-                    "misses": self._baseline_misses,
-                    "evictions": self.baselines.evictions,
-                },
-            },
             "counters": counters,
         }
 

@@ -68,12 +68,11 @@ class Outcome:
     """What happened to one attempt."""
 
     __slots__ = ("ok", "value", "error", "failed_in_sim", "fault", "infra",
-                 "baselines", "baseline_stats")
+                 "baseline_stats")
 
     def __init__(self, ok: bool = False, value: Optional[Dict] = None,
                  error: Optional[str] = None, failed_in_sim: bool = False,
                  fault: Optional[Dict] = None, infra: bool = False,
-                 baselines: Optional[list] = None,
                  baseline_stats: Optional[Dict] = None):
         self.ok = ok
         self.value = value
@@ -83,10 +82,9 @@ class Outcome:
         #: True when the *infrastructure* failed (worker death, watchdog,
         #: lost heartbeat) rather than the cell itself raising in-band.
         self.infra = infra
-        #: fresh shared-baseline records the worker produced, and its
-        #: hit/miss tally for this job (attr cells only; see
-        #: repro.obs.attr.baseline).
-        self.baselines = baselines
+        #: the worker's baseline-store hit/miss tally for this job (attr
+        #: cells only).  The store itself stays in the worker process;
+        #: see repro.obs.attr.baseline.
         self.baseline_stats = baseline_stats
 
     @classmethod
@@ -99,7 +97,6 @@ class Outcome:
             error=None if ok else str(rec.get("error", "?")),
             failed_in_sim=bool(rec.get("failed_in_sim")),
             fault=rec.get("fault"), infra=bool(rec.get("infra")),
-            baselines=rec.get("baselines"),
             baseline_stats=rec.get("baseline_stats"))
 
 
@@ -128,8 +125,6 @@ class WorkerPool:
         timeout_s: Optional[float] = 300.0,
         hb_timeout_s: float = 10.0,
         metrics: Optional[MetricsRegistry] = None,
-        baseline_source: Optional[Callable[[Dict[str, Any]],
-                                           Optional[list]]] = None,
     ):
         if size < 1:
             raise ValueError("pool size must be >= 1")
@@ -143,11 +138,6 @@ class WorkerPool:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._stopping = False
         self._env = worker_env()
-        #: Called with the spec record as a job is dispatched; returns the
-        #: ``[[digest, record], ...]`` baseline seed to attach, or None.
-        #: Evaluated at dispatch (not enqueue) time so a job queued behind
-        #: the cell that produces its baseline still benefits from it.
-        self._baseline_source = baseline_source
         m = metrics if metrics is not None else MetricsRegistry()
         self._c_spawned = m.counter(
             "serve.workers.spawned", "worker subprocesses started")
@@ -260,10 +250,6 @@ class WorkerPool:
         job: Dict[str, Any] = {
             "kind": "job", "id": order.digest, "spec": order.spec_rec,
             "seed": order.seed, "attempt": order.attempt}
-        if self._baseline_source is not None:
-            known = self._baseline_source(order.spec_rec)
-            if known:
-                job["baselines"] = known
         child = slot.child
         try:
             rec = await asyncio.get_running_loop().run_in_executor(

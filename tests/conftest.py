@@ -1,12 +1,13 @@
 """Suite-wide isolation for process-global state.
 
 The shared-baseline memo (``repro.obs.attr.baseline.global_store``) is
-process-global by design — a sweep worker absorbs records once and every
-attribution cell in the process reuses them.  Tests, though, must not
-see each other's baselines: a leaked hit silently skips the zero-SMI
-replay and changes capture counts and metrics.  Reset the store around
-every test (cheaply, via ``sys.modules`` so tests that never touch
-attribution never import it).
+process-global by design — a persistent worker keeps it across the cells
+it runs, so every attribution cell in the process reuses the zero-SMI
+runs of the ones before it.  Tests, though, must not see each other's
+baselines: a leaked hit silently skips the zero-SMI replay and changes
+capture counts and metrics.  Reset the store around every test
+(cheaply, via ``sys.modules`` so tests that never touch attribution
+never import it).
 """
 
 import sys
