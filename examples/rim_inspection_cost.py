@@ -9,13 +9,14 @@ This example prices that proposal with the model: a RIM profile
 the UnixBench index and on an MPI FT job — the two extremes of the
 paper's workload space.
 
-Run:  python examples/rim_inspection_cost.py        (~1-2 minutes)
+Run:  python examples/rim_inspection_cost.py        (~5 seconds)
 """
 
 from repro.apps.nas.params import NasClass
-from repro.apps.nas.study import NasConfig, run_nas_config
+from repro.apps.nas.study import _APPS, NasConfig, run_nas_config
 from repro.apps.unixbench import run_unixbench
 from repro.core.smi import SmiProfile
+from repro.mpi.cluster import Cluster, ClusterSpec, run_mpi_job
 
 
 def main() -> None:
@@ -33,16 +34,11 @@ def main() -> None:
         ub = run_unixbench(
             8, SmiProfile.RIM, period_ms, seed=4, duration_s=1.0
         ).total_index
-        ft = run_nas_config(
-            ft_cfg, smm=0, seed=4
-        )  # base, then re-run with RIM via custom source below
-        from repro.core.smi import SmiProfile as SP
-        from repro.mpi.cluster import Cluster, ClusterSpec, run_mpi_job
-        from repro.apps.nas.study import _APPS
-
+        # the study's smm levels are the paper's short/long classes, so
+        # the RIM profile goes onto a cluster built here
         make_app, profile = _APPS["FT"]
         cluster = Cluster(ClusterSpec(n_nodes=4), seed=4)
-        cluster.enable_smi(SP.RIM, period_ms, seed=4)
+        cluster.enable_smi(SmiProfile.RIM, period_ms, seed=4)
         ft = run_mpi_job(cluster, make_app(NasClass.A), nranks=4,
                          ranks_per_node=1, profile=profile).elapsed_s
         print(

@@ -19,9 +19,3 @@ class AppResult:
     verified: Optional[bool] = None
     extra: Dict[str, float] = field(default_factory=dict)
 
-    @property
-    def mops(self) -> float:
-        """Millions of operations per second (the NPB report line)."""
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.work_ops / self.elapsed_s / 1e6

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable, Generator, Optional
 
 from repro.apps.nas.params import FT_PARAMS, FtParams, NasClass
-from repro.machine.topology import MachineSpec, WYEAST_SPEC
+from repro.machine.topology import OS_RESERVED_BYTES, MachineSpec, WYEAST_SPEC
 from repro.mpi.comm import Rank
 
 __all__ = ["make_ft_app", "ft_feasible"]
@@ -40,8 +40,6 @@ def ft_feasible(
         return False
     # ~2.5 arrays resident (u0, u1, scratch) per NPB FT.
     per_rank = 2.5 * params.total_bytes / nranks
-    from repro.machine.memory import OS_RESERVED_BYTES
-
     per_node = per_rank * min(ranks_per_node, nranks)
     return per_node <= machine.memory_bytes - OS_RESERVED_BYTES
 

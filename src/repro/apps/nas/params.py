@@ -111,14 +111,6 @@ class EpParams:
     m: int                 # log2 of the pair count
     work_total: float      # machine work units, calibrated
 
-    @property
-    def pairs(self) -> int:
-        return 1 << self.m
-
-    @property
-    def ops_per_pair(self) -> float:
-        return self.work_total / self.pairs
-
 
 @dataclass(frozen=True)
 class BtParams:
@@ -160,7 +152,7 @@ class FtParams:
     niter: int
     work_total: float
     #: the paper's Table 3 has no values for FT-C below 4 ranks
-    #: (reproduced as infeasible; see repro.machine.memory).
+    #: (reproduced as infeasible; see repro.apps.nas.ft.ft_feasible).
     min_ranks: int = 1
 
     @property

@@ -51,9 +51,6 @@ class IndexResult:
     def index(self) -> float:
         return geometric_index([t.score for t in self.tests])
 
-    def by_name(self) -> Dict[str, TestScore]:
-        return {t.name: t for t in self.tests}
-
 
 def geometric_index(scores: List[float]) -> float:
     """Geometric mean of the per-test scores (UnixBench's system index)."""

@@ -38,9 +38,6 @@ class UbTest:
     #: strictly-alternating process pair per copy (the context-switch test).
     kind: str = "loop"
 
-    def solo_ops_per_s(self) -> float:
-        """Expected raw result of one copy on an idle CPU (calibration)."""
-        return self.profile.solo_rate(R410_SPEC.base_hz) / self.units_per_op
 
 
 def _t(name, profile, target_solo_ops, kind="loop") -> UbTest:

@@ -233,6 +233,19 @@ def _with_attr(specs):
     return out
 
 
+def _arm_specs(specs, attr: bool, plan, plan_path: Optional[str]):
+    """Apply ``--attr``, then the fault plan, to a sweep's specs.  The
+    local (:func:`_resilient_run`) and served (:func:`_submit`) paths both
+    arm through here, so they cannot drift apart."""
+    if attr:
+        specs = _with_attr(specs)
+    if plan is not None:
+        specs, hit = _with_faults(specs, plan)
+        print(f"fault plan {plan_path}: {len(plan.rules)} rules, "
+              f"{hit}/{len(specs)} cells armed", file=sys.stderr)
+    return specs
+
+
 def _default_jobs() -> int:
     """The CPUs this process may run on.  The runner starts no more
     workers than there are cells, so a small sweep spawns fewer."""
@@ -329,13 +342,8 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
         params["fault_plan"] = fault_plan_path
     if attr:
         params["attr"] = True
-    specs = specs_fn(quick, reps, seed)
-    if attr:
-        specs = _with_attr(specs)
-    if plan is not None:
-        specs, hit = _with_faults(specs, plan)
-        print(f"fault plan {fault_plan_path}: {len(plan.rules)} rules, "
-              f"{hit}/{len(specs)} cells armed", file=sys.stderr)
+    specs = _arm_specs(specs_fn(quick, reps, seed), attr, plan,
+                       fault_plan_path)
     manifest = RunManifest(command=args.cmd, params=params)
     for spec in specs:
         manifest.plan_cell(id=spec.id, fn=spec.fn,
@@ -708,17 +716,12 @@ def _submit(args: argparse.Namespace) -> int:
     quick, seed = args.quick, args.seed
     reps = args.reps if args.reps is not None else (1 if quick else 3)
     specs_fn, render_fn = _sweep_builders(args.what, args.csv)
-    specs = specs_fn(quick, reps, seed)
-    if args.attr:
-        specs = _with_attr(specs)
     plan, fault_plan_path, plan_err = _load_fault_plan(args.fault_plan)
     if plan_err is not None:
         print(f"error: {plan_err}", file=sys.stderr)
         return 2
-    if plan is not None:
-        specs, hit = _with_faults(specs, plan)
-        print(f"fault plan {fault_plan_path}: {len(plan.rules)} rules, "
-              f"{hit}/{len(specs)} cells armed", file=sys.stderr)
+    specs = _arm_specs(specs_fn(quick, reps, seed), args.attr, plan,
+                       fault_plan_path)
     client = _client_from_args(args)
     try:
         rep = client.submit([s.to_record() for s in specs], wait=True,
@@ -967,7 +970,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--window", type=float, default=1.0, help="seconds to scan")
     p.set_defaults(fn=_detect)
     p = sub.add_parser("calibrate", help="print calibration derivation")
-    _add_common(p)
+    p.add_argument("--quick", action="store_true",
+                   help="skip the network-fit simulations")
+    p.add_argument("--seed", type=int, default=1)
     p.set_defaults(fn=_calibrate)
     p = sub.add_parser(
         "serve",

@@ -91,10 +91,6 @@ class BlackboxSmiDriver:
             self._source.stop()
             self._source = None
 
-    @property
-    def loaded(self) -> bool:
-        return self._source is not None
-
     # -- procfs ------------------------------------------------------------
     def read_stats(self) -> DriverStats:
         """TSC-measured latency statistics since :meth:`start`."""

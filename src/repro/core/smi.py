@@ -159,15 +159,3 @@ class SmiSource:
             if self._m_triggered is not None:
                 self._m_triggered.value += 1
             t_next += self.interval_ns
-
-    # -- analysis helpers ---------------------------------------------------
-    @property
-    def expected_duty_cycle(self) -> float:
-        """First-order fraction of wall time stolen (interval ≫ duration)."""
-        if self.durations is None:
-            return 0.0
-        d = self.durations.mean_ns
-        if self.interval_ns > d:
-            return d / self.interval_ns
-        # interval < duration: one interval of useful time per residency.
-        return d / (d + self.interval_ns)

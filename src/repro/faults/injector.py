@@ -179,10 +179,3 @@ class FaultInjector:
             return
         self.events.append({"fault": kind, **info})
 
-    def summary(self) -> Dict[str, Any]:
-        """Compact event log for manifests: the (bounded) events plus the
-        overflow count when traffic-level faults exceeded the cap."""
-        out: Dict[str, Any] = {"events": list(self.events)}
-        if self.suppressed:
-            out["suppressed"] = self.suppressed
-        return out

@@ -16,9 +16,7 @@ Components:
 * :mod:`cache` — occupancy-based cache contention model.
 * :mod:`cpu` — logical-CPU execution via :class:`repro.simx.rate.RateExecutor`.
 * :mod:`clock` — TSC / CLOCK_MONOTONIC / jiffies (all keep ticking in SMM).
-* :mod:`interrupts` — interrupt controller with SMI > NMI > IRQ priority.
 * :mod:`smm` — the System Management Mode engine (global core freeze).
-* :mod:`memory` — main-memory capacity accounting (OOM gating of runs).
 * :mod:`node` — composition of all of the above plus the wake-up gate.
 """
 
@@ -27,7 +25,6 @@ from repro.machine.topology import MachineSpec, Topology, WYEAST_SPEC, R410_SPEC
 from repro.machine.cache import CacheSpec, CacheHierarchy
 from repro.machine.clock import Clock, JIFFY_NS
 from repro.machine.smm import SmmController, SmmStats
-from repro.machine.interrupts import InterruptController, IrqClass
 from repro.machine.node import Node
 
 __all__ = [
@@ -45,7 +42,5 @@ __all__ = [
     "JIFFY_NS",
     "SmmController",
     "SmmStats",
-    "InterruptController",
-    "IrqClass",
     "Node",
 ]

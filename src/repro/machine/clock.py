@@ -1,4 +1,4 @@
-"""Time sources of a node: TSC, CLOCK_MONOTONIC, and jiffies.
+"""Time sources of a node: TSC, CLOCK_MONOTONIC, and the jiffy unit.
 
 The defining property reproduced here is §II.A of the paper: *time keeps
 flowing during SMM but the host software doesn't run*.  The TSC and the
@@ -77,14 +77,6 @@ class Clock:
     def tsc_to_ns(self, tsc_delta: int) -> int:
         """Convert a TSC delta to nanoseconds."""
         return int(tsc_delta * 1e9 / self.tsc_hz)
-
-    def jiffies(self) -> int:
-        """Jiffy counter (1 kHz).  NOTE: real jiffies are incremented by
-        the timer interrupt and therefore *stall* during SMM on a
-        non-tickless kernel; this accessor returns the ideal value, and
-        the interrupt-deferral effect is modeled where it matters (timer
-        callbacks route through the node gate)."""
-        return self.monotonic_ns() // JIFFY_NS
 
     def seconds(self) -> float:
         """Monotonic time as float seconds (convenience for reports)."""

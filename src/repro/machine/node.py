@@ -1,7 +1,7 @@
 """A node: the composition point of the hardware model.
 
 A :class:`Node` owns a topology, per-CPU executors, caches, clocks, the
-SMM controller, an interrupt controller, a memory model, and — crucially —
+SMM controller, and — crucially —
 the **wake-up gate** that implements SMM's "all host software stops"
 semantics for every process hosted on the node:
 
@@ -20,7 +20,6 @@ software is delayed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -29,8 +28,6 @@ from repro.simx.timeline import Timeline
 from repro.machine.cache import CacheHierarchy
 from repro.machine.clock import Clock
 from repro.machine.cpu import LogicalCpu
-from repro.machine.interrupts import InterruptController
-from repro.machine.memory import MemoryModel
 from repro.machine.smm import SmmController
 from repro.machine.topology import MachineSpec, Topology
 
@@ -74,10 +71,8 @@ class Node:
         self.topology = Topology(spec)
         self.cache_hierarchy: CacheHierarchy = spec.hierarchy()
         self.clock = Clock(engine, tsc_hz=spec.base_hz, boot_offset_ns=boot_offset_ns)
-        self.memory = MemoryModel(capacity_bytes=spec.memory_bytes)
         self.cpus: List[LogicalCpu] = [LogicalCpu(self, st) for st in self.topology.cpus]
         self.smm = SmmController(self)
-        self.irq = InterruptController(self)
         self.nic = None  # attached by repro.mpi.cluster when clustered
         self.scheduler = None  # attached by repro.sched (see repro.system)
         self._frozen = False
@@ -119,10 +114,6 @@ class Node:
     def dead(self) -> bool:
         """True when the node can never again make host-software progress."""
         return self._failed or self._hung
-
-    @property
-    def online_cpus(self) -> List[LogicalCpu]:
-        return [c for c in self.cpus if c.state.online]
 
     # -- rate bookkeeping --------------------------------------------------
     def _cpu_busy_changed(self, cpu: LogicalCpu, busy: bool) -> None:
@@ -202,15 +193,6 @@ class Node:
                 if ex._dirty:
                     ex._dirty = False
                     ex._reschedule()
-
-    @contextmanager
-    def rate_batch(self):
-        """Contextmanager sugar over begin/end_rate_batch (cold paths)."""
-        self.begin_rate_batch()
-        try:
-            yield
-        finally:
-            self.end_rate_batch()
 
     def apply_rates(self) -> None:
         """Recompute and install the rate assignment for every CPU.

@@ -24,7 +24,7 @@ CacheUnfriendly (~70 % misses) — see :mod:`repro.apps.convolve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 __all__ = [
     "WorkloadProfile",
@@ -91,10 +91,6 @@ class WorkloadProfile:
             raise ValueError("penalties must be >= 0")
         if not (0.0 <= self.cache_sensitivity <= 1.0):
             raise ValueError(f"cache_sensitivity out of range: {self.cache_sensitivity}")
-
-    def with_(self, **kw) -> "WorkloadProfile":
-        """Return a modified copy (convenience over dataclasses.replace)."""
-        return replace(self, **kw)
 
     def cost_per_op(self, extra_dram: float = 0.0, extra_mid: float = 0.0) -> float:
         """Average cost of one work unit, in work-unit times.

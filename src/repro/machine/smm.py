@@ -8,8 +8,7 @@ Reproduces the SMM semantics described in §II.A of the paper:
   severity of the impact increases with the number of cores").
 * SMIs are **unmaskable** and higher priority than NMIs and device
   interrupts; other interrupts are only handled after SMM exits (the
-  deferral itself is implemented by the node wake-up gate and the
-  interrupt controller).
+  deferral itself is implemented by the node wake-up gate).
 * SMM is **invisible to the OS**: free-running clocks advance, and the
   kernel's process accounting charges the frozen interval to whatever was
   running (see :mod:`repro.sched.accounting`).

@@ -23,6 +23,11 @@ from repro.machine.cache import CacheHierarchy, CacheSpec, nehalem_hierarchy, pa
 
 __all__ = ["MachineSpec", "LogicalCpuState", "PhysicalCore", "Topology", "WYEAST_SPEC", "R410_SPEC"]
 
+#: Memory the OS and runtime keep for themselves on the paper's nodes.
+#: FT's feasibility check fits its per-node footprint into the rest
+#: (:func:`repro.apps.nas.ft.ft_feasible`).
+OS_RESERVED_BYTES = 2 << 30
+
 
 @dataclass(frozen=True)
 class MachineSpec:
@@ -96,9 +101,6 @@ class PhysicalCore:
         self.socket = socket
         self.threads: List[LogicalCpuState] = []
 
-    @property
-    def online_threads(self) -> List[LogicalCpuState]:
-        return [t for t in self.threads if t.online]
 
 
 class Topology:
@@ -173,16 +175,8 @@ class Topology:
 
     # -- queries ---------------------------------------------------------
     @property
-    def online_cpus(self) -> List[LogicalCpuState]:
-        return [c for c in self.cpus if c.online]
-
-    @property
     def n_online(self) -> int:
         return sum(1 for c in self.cpus if c.online)
-
-    def htt_active(self) -> bool:
-        """True if any physical core has two online siblings."""
-        return any(len(core.online_threads) > 1 for core in self.cores)
 
 
 # ---------------------------------------------------------------------------

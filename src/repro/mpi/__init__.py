@@ -1,7 +1,7 @@
 """repro.mpi — a simulated MPI over the discrete-event cluster.
 
 The API deliberately mirrors mpi4py's lowercase, object-passing layer
-(``send/recv/isend/irecv``, ``bcast/reduce/allreduce/alltoall/barrier``) —
+(``send/recv/irecv``, ``bcast/reduce/allreduce/alltoall/barrier``) —
 the idiomatic Python MPI surface — but executes on simulated nodes and a
 simulated interconnect, with collectives implemented *algorithmically*
 (binomial trees, recursive doubling, pairwise exchange, dissemination)

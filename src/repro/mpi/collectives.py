@@ -17,7 +17,6 @@ bcast         binomial tree                                ⌈log₂ p⌉
 reduce        binomial tree (leaves→root)                  ⌈log₂ p⌉
 allreduce     recursive doubling (p = 2ᵏ), else
               reduce + bcast                               log₂ p
-allgather     ring                                         p − 1
 alltoall      pairwise exchange (XOR when p = 2ᵏ)          p − 1
 ============  =========================================== ==============
 
@@ -27,7 +26,7 @@ are derived from a per-rank call counter, as noted in comm.py).
 
 Payload semantics are *real*: ``reduce``/``allreduce`` apply ``op``
 (default: ``+``) to the actual values, ``bcast`` returns the root's
-value, ``alltoall``/``allgather`` return the gathered lists — so the unit
+value, ``alltoall`` returns the gathered list — so the unit
 tests can verify algorithmic correctness, not just timing.
 """
 
@@ -42,12 +41,7 @@ __all__ = [
     "bcast",
     "reduce",
     "allreduce",
-    "allgather",
     "alltoall",
-    "scatter",
-    "gather",
-    "reduce_scatter",
-    "scan",
 ]
 
 
@@ -158,107 +152,6 @@ def allreduce(
         return acc
     acc = yield from reduce(rk, value, 0, nbytes, op)
     acc = yield from bcast(rk, acc, 0, nbytes)
-    return acc
-
-
-def allgather(rk: Rank, value: Any, nbytes: int = 8) -> Generator:
-    """Ring allgather: p−1 rounds, passing blocks around the ring.
-    Returns the list of all ranks' values, index = rank."""
-    p = rk.size
-    out: List[Any] = [None] * p
-    out[rk.rank] = value
-    if p == 1:
-        return out
-    tag = rk._next_coll_tag()
-    right = (rk.rank + 1) % p
-    left = (rk.rank - 1) % p
-    carry_idx = rk.rank
-    carry_val = value
-    for _ in range(p - 1):
-        yield from rk.send(right, nbytes, (carry_idx, carry_val), tag)
-        msg = yield from rk.recv(left, tag)
-        carry_idx, carry_val = msg.payload
-        out[carry_idx] = carry_val
-    return out
-
-
-def scatter(
-    rk: Rank, values: Optional[List[Any]] = None, root: int = 0, nbytes: int = 8
-) -> Generator:
-    """Linear scatter from the root (MPI_Scatter: root sends block i to
-    rank i).  Returns this rank's block."""
-    p = rk.size
-    tag = rk._next_coll_tag()
-    if rk.rank == root:
-        if values is None or len(values) != p:
-            raise ValueError("root must supply one value per rank")
-        for dst in range(p):
-            if dst == root:
-                continue
-            yield from rk.send(dst, nbytes, values[dst], tag)
-        return values[root]
-    msg = yield from rk.recv(root, tag)
-    return msg.payload
-
-
-def gather(rk: Rank, value: Any, root: int = 0, nbytes: int = 8) -> Generator:
-    """Linear gather to the root.  Root returns the list (index = rank);
-    others return None."""
-    p = rk.size
-    tag = rk._next_coll_tag()
-    if rk.rank == root:
-        out: List[Any] = [None] * p
-        out[root] = value
-        for _ in range(p - 1):
-            msg = yield from rk.recv(tag=tag)
-            out[msg.src] = msg.payload
-        return out
-    yield from rk.send(root, nbytes, value, tag)
-    return None
-
-
-def reduce_scatter(
-    rk: Rank,
-    values: List[Any],
-    nbytes: int = 8,
-    op: Optional[Callable[[Any, Any], Any]] = None,
-) -> Generator:
-    """Reduce-scatter: element i of the combined vector lands on rank i.
-
-    Implemented as reduce-to-root + scatter (the simple MPICH fallback);
-    ``values`` must have one entry per rank.
-    """
-    p = rk.size
-    if len(values) != p:
-        raise ValueError("values must have one entry per rank")
-    if op is None:
-        op = lambda a, b: a + b  # noqa: E731
-    if p == 1:
-        return values[0]
-    vecop = lambda a, b: [op(x, y) for x, y in zip(a, b)]  # noqa: E731
-    combined = yield from reduce(rk, values, 0, nbytes * p, vecop)
-    mine = yield from scatter(rk, combined, root=0, nbytes=nbytes)
-    return mine
-
-
-def scan(
-    rk: Rank,
-    value: Any,
-    nbytes: int = 8,
-    op: Optional[Callable[[Any, Any], Any]] = None,
-) -> Generator:
-    """Inclusive prefix scan (MPI_Scan) via the linear pipeline: rank i
-    receives the prefix of 0..i−1, combines, forwards to i+1."""
-    p = rk.size
-    if op is None:
-        op = lambda a, b: a + b  # noqa: E731
-    tag = rk._next_coll_tag()
-    acc = value
-    if rk.rank > 0:
-        msg = yield from rk.recv(rk.rank - 1, tag)
-        acc = op(msg.payload, value)
-    if rk.rank < p - 1:
-        yield from rk.send(rk.rank + 1, nbytes, acc, tag)
     return acc
 
 

@@ -12,7 +12,7 @@ Semantics (a faithful subset of MPI, shaped like mpi4py's lowercase API):
   with equal tags are matched in send order (the per-rank
   :class:`repro.simx.resources.Store` scans oldest-first).
 * ``ANY_SOURCE`` / ``ANY_TAG`` wildcards are supported.
-* ``isend``/``irecv`` return :class:`Request` objects; ``wait`` blocks the
+* ``irecv`` returns a :class:`Request`; ``wait`` blocks the
   calling rank's task.
 
 Every CPU cost (library overhead, eager copy) is executed as *work* on
@@ -77,10 +77,6 @@ class Request:
     def __init__(self, event: Event, kind: str):
         self.event = event
         self.kind = kind
-
-    @property
-    def complete(self) -> bool:
-        return self.event.triggered
 
     def test(self) -> Optional[Message]:
         """Non-blocking completion check: the message if done, else None."""
@@ -281,16 +277,6 @@ class Rank:
         self.sent_messages += 1
         self.sent_bytes += nbytes
 
-    def isend(self, dst: int, nbytes: int, payload: Any = None, tag: int = 0
-              ) -> Generator[Any, Any, Request]:
-        """Non-blocking send.  With the eager protocol the local cost is
-        still paid inline (as in real MPI, where the eager copy happens in
-        the isend call); the returned request is already complete."""
-        yield from self.send(dst, nbytes, payload, tag)
-        ev = self.comm.engine.event(name="isend.done")
-        ev.succeed(None)
-        return Request(ev, "isend")
-
     def irecv(self, src: int = ANY_SOURCE, tag: int = ANY_TAG) -> Request:
         """Post a receive; returns immediately with a Request."""
         ev = self.comm._match_async(self.rank, src, tag)
@@ -420,48 +406,12 @@ class Rank:
             "allreduce", allreduce(self, value, nbytes, op))
         return result
 
-    def allgather(self, value: Any, nbytes: int = 8) -> Generator:
-        from repro.mpi.collectives import allgather
-
-        result = yield from self._coll(
-            "allgather", allgather(self, value, nbytes))
-        return result
-
     def alltoall(self, per_pair_nbytes: int, values: Optional[List[Any]] = None
                  ) -> Generator:
         from repro.mpi.collectives import alltoall
 
         result = yield from self._coll(
             "alltoall", alltoall(self, per_pair_nbytes, values))
-        return result
-
-    def scatter(self, values: Optional[List[Any]] = None, root: int = 0,
-                nbytes: int = 8) -> Generator:
-        from repro.mpi.collectives import scatter
-
-        result = yield from self._coll(
-            "scatter", scatter(self, values, root, nbytes))
-        return result
-
-    def gather(self, value: Any, root: int = 0, nbytes: int = 8) -> Generator:
-        from repro.mpi.collectives import gather
-
-        result = yield from self._coll(
-            "gather", gather(self, value, root, nbytes))
-        return result
-
-    def reduce_scatter(self, values: List[Any], nbytes: int = 8, op=None
-                       ) -> Generator:
-        from repro.mpi.collectives import reduce_scatter
-
-        result = yield from self._coll(
-            "reduce_scatter", reduce_scatter(self, values, nbytes, op))
-        return result
-
-    def scan(self, value: Any, nbytes: int = 8, op=None) -> Generator:
-        from repro.mpi.collectives import scan
-
-        result = yield from self._coll("scan", scan(self, value, nbytes, op))
         return result
 
     def __repr__(self) -> str:  # pragma: no cover

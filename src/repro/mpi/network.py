@@ -91,9 +91,6 @@ class Nic:
         self.rx_bytes += nbytes
         return end
 
-    def busy_until(self) -> int:
-        return max(self._tx_free, self._rx_free)
-
     def tx_queue_delay(self, now: int) -> int:
         """How long a message injected *now* would wait behind earlier
         traffic before its serialization starts."""

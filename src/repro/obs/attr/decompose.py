@@ -57,14 +57,6 @@ class Decomposition:
     terminal_rank: int
     terminal_node: str
 
-    def components(self):
-        return {
-            "direct_smi_s": self.direct_s,
-            "induced_wait_s": self.induced_s,
-            "contention_s": self.contention_s,
-            "residual_s": self.residual_s,
-        }
-
 
 def decompose(noisy: RunProfile, base, tolerance: float = 0.05
               ) -> Decomposition:

@@ -13,7 +13,6 @@ Track layout (viewable in Perfetto / ``chrome://tracing``):
 
 * one *process* per node (pid = node index, labeled with the node name);
 * thread 0: SMM residency windows as complete (``X``) duration events;
-* thread 1: interrupt deliveries as instants;
 * thread 2: scheduler events (post-SMM misplacements) as instants;
 * thread 3: network activity — each message is an ``X`` slice on the
   sender spanning injection→delivery, connected to a delivery marker on
@@ -42,7 +41,6 @@ __all__ = ["chrome_trace_events", "write_chrome_trace", "write_jsonl"]
 
 #: tid assignments within each node's track group.
 TID_SMM = 0
-TID_IRQ = 1
 TID_SCHED = 2
 TID_NET = 3
 TID_CTR = 7
@@ -51,7 +49,6 @@ TID_WAIT_BASE = 40
 
 _THREAD_NAMES = {
     TID_SMM: "SMM",
-    TID_IRQ: "irq",
     TID_SCHED: "sched",
     TID_NET: "net",
     TID_CTR: "counters",
@@ -173,18 +170,6 @@ def chrome_trace_events(
                 "pid": pid,
                 "tid": TID_CTR,
                 "args": {"ms": wait_cum[key] / 1e6},
-            })
-        elif rec.kind == "irq.deliver":
-            mark(pid, TID_IRQ)
-            events.append({
-                "name": f"irq:{rec.data.get('irq_class', '?')}",
-                "cat": "irq",
-                "ph": "i",
-                "s": "t",
-                "ts": _us(rec.time),
-                "pid": pid,
-                "tid": TID_IRQ,
-                "args": {"time_ns": rec.time, **rec.data},
             })
         elif rec.kind.startswith("sched."):
             mark(pid, TID_SCHED)

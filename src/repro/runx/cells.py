@@ -58,13 +58,13 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
         return _nas_cell_faulted(cfg, params, seed, metrics, fault_rules)
     if params.get("attr"):
         return _nas_cell_attr(cfg, params, seed, metrics)
-    m = run_repeated(
+    values = run_repeated(
         lambda s: run_nas_config(cfg, smm=params["smm"], seed=s,
                                  metrics=metrics),
         reps=params["reps"],
         base_seed=seed,
     )
-    return {"values": m.values if m is not None else None}
+    return {"values": values}
 
 
 def _nas_cell_attr(cfg, params: Dict, seed: int, metrics) -> Dict:
@@ -135,9 +135,9 @@ def _nas_cell_attr(cfg, params: Dict, seed: int, metrics) -> Dict:
                                   timeline=timeline, attr=cap)
         return run_nas_config(cfg, smm=smm, seed=s, metrics=metrics)
 
-    m = run_repeated(_rep, reps=reps, base_seed=seed)
-    payload: Dict[str, Any] = {"values": m.values if m is not None else None}
-    if m is not None:
+    values = run_repeated(_rep, reps=reps, base_seed=seed)
+    payload: Dict[str, Any] = {"values": values}
+    if values is not None:
         a = attribute_cell(
             params["bench"], cls=params["cls"], nodes=params["nodes"],
             rpn=params["rpn"], smm=smm,

@@ -65,10 +65,6 @@ class SingleWriterLock:
         self.path = path
         self._fd: Optional[int] = None
 
-    @property
-    def held(self) -> bool:
-        return self._fd is not None
-
     def acquire(self) -> "SingleWriterLock":
         if self._fd is not None:
             return self

@@ -66,8 +66,8 @@ class _Emitter:
 
 
 def _heartbeat(emitter: _Emitter, active: Dict[str, Optional[str]],
-               stop: threading.Event, interval_s: float) -> None:
-    while not stop.wait(interval_s):
+               stop: threading.Event) -> None:
+    while not stop.wait(HEARTBEAT_S):
         job_id = active.get("id")
         if job_id is not None:
             try:
@@ -166,9 +166,8 @@ def main() -> int:
     emitter = _Emitter(sys.stdout)
     active: Dict[str, Optional[str]] = {"id": None}
     stop = threading.Event()
-    interval = float(os.environ.get("REPRO_SERVE_HB", HEARTBEAT_S))
     beater = threading.Thread(
-        target=_heartbeat, args=(emitter, active, stop, interval),
+        target=_heartbeat, args=(emitter, active, stop),
         name="workproc-hb", daemon=True)
     beater.start()
     emitter.emit({"kind": "ready", "pid": os.getpid()})

@@ -423,9 +423,6 @@ class Scheduler:
         )
 
     # -- queries -----------------------------------------------------------
-    def running_tasks(self) -> List[Task]:
-        return [t for t in self.tasks if t.state is TaskState.RUNNING]
-
     def evacuate(self, cpu_index: int) -> None:
         """Migrate all segments off a CPU (prelude to offlining it)."""
         cpu = self.node.cpu(cpu_index)

@@ -52,6 +52,3 @@ class Sysfs:
             if cpu.thread_slot == 1:
                 if cpu.online != enabled:
                     self.set_online(cpu.index, enabled)
-
-    def online_count(self) -> int:
-        return self.node.topology.n_online

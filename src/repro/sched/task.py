@@ -59,13 +59,6 @@ class TaskAccount:
     segments: int = 0
     work_done: float = 0.0
 
-    @property
-    def inflation(self) -> float:
-        """Fractional over-report of the kernel view vs ground truth."""
-        if self.true_ns <= 0:
-            return 0.0
-        return self.stolen_ns / self.true_ns
-
 
 class Task:
     """One schedulable task bound to a node."""

@@ -23,21 +23,16 @@ Design goals
 Public API
 ----------
 :class:`Engine`, :class:`Process`, :class:`Event`, :class:`Delay`,
-:class:`AllOf`, :class:`AnyOf`, :class:`Interrupt`,
-:class:`~repro.simx.resources.Lock`, :class:`~repro.simx.resources.Semaphore`,
-:class:`~repro.simx.resources.Barrier`, :class:`~repro.simx.resources.Channel`,
+:class:`AllOf`, :class:`AnyOf`, :class:`~repro.simx.resources.Channel`,
+:class:`~repro.simx.resources.Store`,
 :class:`~repro.simx.rate.RateExecutor`, :class:`~repro.simx.rate.WorkItem`,
-:class:`~repro.simx.timeline.Timeline`.
+:class:`~repro.simx.timeline.Timeline`, and the ``ns``/``seconds``
+time conversions.
 """
 
-from repro.simx.errors import (
-    SimulationError,
-    DeadlockError,
-    ProcessKilled,
-    GateClosedForever,
-)
-from repro.simx.engine import Engine, Delay, Event, AllOf, AnyOf, Interrupt, Process
-from repro.simx.resources import Lock, Semaphore, Barrier, Channel, Store
+from repro.simx.errors import SimulationError, ProcessKilled
+from repro.simx.engine import Engine, Delay, Event, AllOf, AnyOf, Process
+from repro.simx.resources import Channel, Store
 from repro.simx.rate import RateExecutor, WorkItem
 from repro.simx.timeline import Timeline, TraceRecord
 
@@ -48,10 +43,6 @@ __all__ = [
     "Delay",
     "AllOf",
     "AnyOf",
-    "Interrupt",
-    "Lock",
-    "Semaphore",
-    "Barrier",
     "Channel",
     "Store",
     "RateExecutor",
@@ -59,26 +50,14 @@ __all__ = [
     "Timeline",
     "TraceRecord",
     "SimulationError",
-    "DeadlockError",
     "ProcessKilled",
-    "GateClosedForever",
 ]
 
 SECOND = 1_000_000_000
-MILLISECOND = 1_000_000
-MICROSECOND = 1_000
 
 def ns(seconds: float) -> int:
     """Convert seconds (float) to integer nanoseconds."""
     return int(round(seconds * SECOND))
-
-def ms(milliseconds: float) -> int:
-    """Convert milliseconds (float) to integer nanoseconds."""
-    return int(round(milliseconds * MILLISECOND))
-
-def us(microseconds: float) -> int:
-    """Convert microseconds (float) to integer nanoseconds."""
-    return int(round(microseconds * MICROSECOND))
 
 def seconds(t_ns: int) -> float:
     """Convert integer nanoseconds to float seconds."""

@@ -57,9 +57,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
-from repro.simx.errors import DeadlockError, ProcessKilled, SimulationError
+from repro.simx.errors import ProcessKilled, SimulationError
 
-__all__ = ["Engine", "Delay", "Event", "AllOf", "AnyOf", "Interrupt", "Process", "Handle"]
+__all__ = ["Engine", "Delay", "Event", "AllOf", "AnyOf", "Process", "Handle"]
 
 # Heap-entry field indices (see module docstring).
 _TIME, _SEQ, _FN, _ARGS, _DAEMON, _CANCELLED = range(6)
@@ -77,18 +77,6 @@ class Delay:
     def __post_init__(self) -> None:
         if self.ns < 0:
             raise ValueError(f"negative delay: {self.ns}")
-
-
-class Interrupt(SimulationError):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    Carries an arbitrary ``cause``.  Used e.g. by the interrupt-controller
-    model to preempt a task that is sleeping.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(f"interrupted: {cause!r}")
-        self.cause = cause
 
 
 class Event:
@@ -234,10 +222,6 @@ class Handle:
     def daemon(self) -> bool:
         return self._entry[_DAEMON]
 
-    @property
-    def cancelled(self) -> bool:
-        return self._entry[_CANCELLED]
-
     def cancel(self) -> None:
         """Prevent the callback from firing.  Idempotent."""
         self.engine._cancel_entry(self._entry)
@@ -259,7 +243,6 @@ class Process:
         "done_event",
         "_alive",
         "_pending_handle",
-        "_waiting_on",
     )
 
     def __init__(
@@ -286,9 +269,6 @@ class Process:
         #: wait), or None.  Identity doubles as the staleness token for
         #: event callbacks.
         self._pending_handle: Any = None
-        self._waiting_on: Any = None
-        engine._live_processes += 1
-        engine._procs[id(self)] = self
         # First step happens at the current instant, in scheduling order.
         engine._post(0, self._step, (None, None), daemon)
 
@@ -301,17 +281,6 @@ class Process:
     def result(self) -> Any:
         """Return value of the generator; raises if not finished or failed."""
         return self.done_event.value
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current instant.
-
-        Only a process that is suspended (waiting on a delay or event) can
-        be interrupted; interrupting a dead process is a no-op.
-        """
-        if not self._alive:
-            return
-        self._cancel_pending()
-        self.engine._post(0, self._step, (None, Interrupt(cause)), False)
 
     def kill(self) -> None:
         """Terminate the process by throwing :class:`ProcessKilled` into it."""
@@ -342,19 +311,17 @@ class Process:
             if type(h) is list:  # raw heap entry (delay wait)
                 self.engine._cancel_entry(h)
             self._pending_handle = None
-        self._waiting_on = None
 
     def _resume(self, value: Any, exc: Optional[BaseException]) -> None:
         """Resume through the gate (if any).
 
         Resumption is always *scheduled* (never synchronous): an event may
-        trigger deep inside a rate-executor sync or an interrupt handler,
+        trigger deep inside a rate-executor sync or an SMM transition,
         and running user generator code re-entrantly from there would let
         a task mutate CPU state mid-recomputation.  Scheduling at +0 ns
         keeps simulated time identical while serializing the control flow.
         """
         self._pending_handle = None
-        self._waiting_on = None
         if self.gate is None:
             self.engine._post(0, self._step, (value, exc), self.daemon)
         else:
@@ -387,8 +354,6 @@ class Process:
         killed: Optional[ProcessKilled] = None,
     ) -> None:
         self._alive = False
-        self.engine._live_processes -= 1
-        self.engine._procs.pop(id(self), None)
         self.gen.close()
         if ok:
             self.done_event.succeed(value)
@@ -408,14 +373,12 @@ class Process:
             self._pending_handle = self.engine._post(
                 cmd.ns, self._resume, (None, None), self.daemon
             )
-            self._waiting_on = cmd
         elif cls is int:
             if cmd < 0:
                 raise ValueError(f"negative delay: {cmd}")
             self._pending_handle = self.engine._post(
                 cmd, self._resume, (None, None), self.daemon
             )
-            self._waiting_on = cmd
         elif isinstance(cmd, Event):
             self._wait_event(cmd)
         elif isinstance(cmd, Process):
@@ -428,12 +391,10 @@ class Process:
             self._pending_handle = self.engine._post(
                 int(cmd), self._resume, (None, None), self.daemon
             )
-            self._waiting_on = cmd
         elif isinstance(cmd, Delay):
             self._pending_handle = self.engine._post(
                 cmd.ns, self._resume, (None, None), self.daemon
             )
-            self._waiting_on = cmd
         else:
             self._resume(
                 None,
@@ -441,7 +402,6 @@ class Process:
             )
 
     def _wait_event(self, ev: Event) -> None:
-        self._waiting_on = ev
         waiter = _EventWaiter(self)
         self._pending_handle = waiter
         ev.add_callback(waiter)
@@ -452,7 +412,6 @@ class Process:
             self._pending_handle = self.engine._post(
                 0, self._resume, ([], None), False)
             return
-        self._waiting_on = allof
         waiter = _AllWaiter(self, events)
         self._pending_handle = waiter
         for e in events:
@@ -460,7 +419,6 @@ class Process:
 
     def _wait_any(self, anyof: AnyOf) -> None:
         events = [_as_event(w) for w in anyof.waitables]
-        self._waiting_on = anyof
         waiter = _AnyWaiter(self, events)
         self._pending_handle = waiter
         for e in events:
@@ -468,7 +426,7 @@ class Process:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "alive" if self._alive else "done"
-        return f"<Process {self.name!r} {state} waiting_on={self._waiting_on!r}>"
+        return f"<Process {self.name!r} {state}>"
 
 
 class _EventWaiter:
@@ -476,7 +434,7 @@ class _EventWaiter:
 
     Staleness is checked by identity: a new wait installs a new waiter
     object in ``proc._pending_handle``, so callbacks from a superseded
-    wait (the process was interrupted or killed meanwhile) fall through.
+    wait (the process was aborted or killed meanwhile) fall through.
     One object serves as both the pending handle and the callback, so a
     wait costs one allocation instead of a handle + token + closure.
     """
@@ -492,7 +450,7 @@ class _EventWaiter:
     def __call__(self, event: Event) -> None:
         proc = self.proc
         if proc._pending_handle is not self:
-            return  # stale registration (process was interrupted/killed)
+            return  # stale registration (process was aborted/killed)
         if event._ok:
             proc._resume(event._value, None)
         else:
@@ -548,35 +506,6 @@ class _AnyWaiter:
             proc._resume(None, event._exc)
 
 
-def _describe_wait(w: Any) -> str:
-    """Human-readable description of a process's wait target (for
-    :class:`DeadlockError` diagnostics)."""
-    if w is None:
-        return "nothing (never resumed)"
-    if isinstance(w, Event):
-        return f"event {w.name!r}" if w.name else "unnamed event"
-    if isinstance(w, Process):
-        return f"process {w.name!r}"
-    if isinstance(w, (AllOf, AnyOf)):
-        kind = "all of" if isinstance(w, AllOf) else "any of"
-        names = []
-        for item in w.waitables[:3]:
-            if isinstance(item, Event):
-                names.append(item.name or "<event>")
-            elif isinstance(item, Process):
-                names.append(item.name)
-            else:  # pragma: no cover - waitables are events/processes
-                names.append(repr(item))
-        if len(w.waitables) > 3:
-            names.append(f"... {len(w.waitables) - 3} more")
-        return f"{kind} [{', '.join(names)}]"
-    if isinstance(w, Delay):
-        return f"delay {w.ns}ns"
-    if isinstance(w, int):
-        return f"delay {w}ns"
-    return repr(w)
-
-
 def _as_event(w: Any) -> Event:
     if isinstance(w, Event):
         return w
@@ -586,7 +515,7 @@ def _as_event(w: Any) -> Event:
 
 
 class Engine:
-    """The event loop: an event heap plus a live-process census.
+    """The event loop: an event heap and the simulated clock.
 
     Typical use::
 
@@ -603,10 +532,6 @@ class Engine:
         self._heap: list[list] = []
         self._now = 0
         self._seq = 0
-        self._live_processes = 0
-        #: id(proc) -> live Process; insertion-ordered, so deadlock
-        #: diagnostics list blocked processes in creation order.
-        self._procs: dict[int, Process] = {}
         self._foreground = 0  # pending non-daemon callbacks
         self._orphan_failures: list[tuple[str, BaseException]] = []
         # Observability: instruments are cached here (or None) so the
@@ -774,36 +699,8 @@ class Engine:
                 ) from exc
         return self._now
 
-    def run_until_deadlock_check(self) -> int:
-        """Run to completion; raise :class:`DeadlockError` if processes
-        remain alive with an empty heap (e.g. an MPI recv never matched).
-
-        The error lists the first 10 blocked processes by name together
-        with what each is waiting on, so a modeling bug ("rank 3 blocked
-        on recv from rank 1") is distinguishable from an injected hang at
-        a glance."""
-        t = self.run()
-        if self._live_processes > 0:
-            alive = [p for p in self._procs.values() if p._alive]
-            lines = [
-                f"  {p.name!r} waiting on {_describe_wait(p._waiting_on)}"
-                for p in alive[:10]
-            ]
-            more = len(alive) - len(lines)
-            if more > 0:
-                lines.append(f"  ... and {more} more")
-            raise DeadlockError(
-                f"{self._live_processes} process(es) still alive at t={t} "
-                "with no scheduled events (blocked forever):\n"
-                + "\n".join(lines)
-            )
-        return t
-
     def _record_orphan_failure(self, proc: Process, exc: BaseException) -> None:
         self._orphan_failures.append((proc.name, exc))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Engine now={self._now} pending={len(self._heap)} "
-            f"live={self._live_processes}>"
-        )
+        return f"<Engine now={self._now} pending={len(self._heap)}>"

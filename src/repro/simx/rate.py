@@ -60,8 +60,8 @@ ETA-rescheduling pass per mutation: a 24-segment rebalance did ~48
 cancel+push cycles whose timers were all dead on arrival.  Two
 mechanisms remove that churn while keeping event order **identical**:
 
-* *Deferred rescheduling* — inside :meth:`defer_reschedule` (used by
-  :meth:`repro.machine.node.Node.rate_batch`), membership and rate
+* *Deferred rescheduling* — while ``_defer`` is set (by
+  :meth:`repro.machine.node.Node.begin_rate_batch`), membership and rate
   mutations mark the executor dirty instead of rescheduling; one
   rescheduling pass runs at batch exit.  Work integration (``sync``)
   still happens eagerly, so completions and their follow-up events fire
@@ -139,11 +139,6 @@ class WorkItem:
         self.meta = meta
         self.started_at: Optional[int] = None
         self.finished_at: Optional[int] = None
-
-    @property
-    def executed(self) -> float:
-        """Work completed so far."""
-        return self.demand - self.remaining
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<WorkItem {self.remaining:.3g}/{self.demand:.3g}>"
@@ -346,24 +341,6 @@ class RateExecutor:
             rate_s[i] = float(rate)
             i += 1
         self._reschedule()
-
-    def rate_of(self, item: WorkItem) -> float:
-        return self._rate[self._index[item]]
-
-    # -- coalescing --------------------------------------------------------
-    def defer_reschedule(self) -> None:
-        """Enter a coalescing batch: mutations mark the executor dirty
-        instead of rescheduling.  Must be paired with
-        :meth:`flush_reschedule` before control returns to the engine
-        loop (see :meth:`repro.machine.node.Node.rate_batch`)."""
-        self._defer = True
-
-    def flush_reschedule(self) -> None:
-        """Exit a coalescing batch; run the one owed rescheduling pass."""
-        self._defer = False
-        if self._dirty:
-            self._dirty = False
-            self._reschedule()
 
     # -- internals -------------------------------------------------------------
     def _complete(self, item: WorkItem) -> None:

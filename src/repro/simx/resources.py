@@ -1,18 +1,16 @@
-"""Synchronization and communication primitives for simulation processes.
+"""Communication primitives for simulation processes.
 
-All primitives are *fair* (FIFO) and deterministic.  They are used both by
-the OS substrate (run-queue hand-off, pipe model) and by the simulated MPI
-(point-to-point channels under the hood of :mod:`repro.mpi.comm`).
+Both are *fair* (FIFO) and deterministic.  :class:`Channel` is the pipe
+model of the UnixBench substrate; :class:`Store` is the matching queue
+under the simulated MPI (:mod:`repro.mpi.comm`).
 
 Usage inside a process generator::
 
-    lock = Lock(engine)
-    def body():
-        yield from lock.acquire()
-        try:
-            ...
-        finally:
-            lock.release()
+    chan = Channel(engine, capacity=1)
+    def producer():
+        yield from chan.put("token")
+    def consumer():
+        token = yield from chan.get()
 """
 
 from __future__ import annotations
@@ -21,98 +19,8 @@ from collections import deque
 from typing import Any, Deque, Generator, Optional
 
 from repro.simx.engine import Engine, Event
-from repro.simx.errors import SimulationError
 
-__all__ = ["Lock", "Semaphore", "Barrier", "Channel", "Store"]
-
-
-class Semaphore:
-    """Counting semaphore with FIFO wake-up order."""
-
-    def __init__(self, engine: Engine, value: int = 1, name: str = "sem"):
-        if value < 0:
-            raise ValueError("semaphore value must be >= 0")
-        self.engine = engine
-        self.name = name
-        self._value = value
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self) -> Generator[Any, Any, None]:
-        """Generator: suspend until a unit is available, then take it."""
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
-            return
-        ev = self.engine.event(name=f"{self.name}.acquire")
-        self._waiters.append(ev)
-        yield ev
-
-    def try_acquire(self) -> bool:
-        """Non-blocking acquire; returns True on success."""
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
-            return True
-        return False
-
-    def release(self) -> None:
-        """Return a unit; wakes the oldest waiter if any."""
-        if self._waiters:
-            # Hand the unit directly to the next waiter (no count bump) so
-            # a fast looper cannot barge past queued processes.
-            self._waiters.popleft().succeed()
-        else:
-            self._value += 1
-
-
-class Lock(Semaphore):
-    """Binary mutex.  ``release`` on an unheld lock raises."""
-
-    def __init__(self, engine: Engine, name: str = "lock"):
-        super().__init__(engine, value=1, name=name)
-
-    @property
-    def held(self) -> bool:
-        return self._value == 0
-
-    def release(self) -> None:
-        if self._value == 1 and not self._waiters:
-            raise SimulationError(f"release of unheld lock {self.name!r}")
-        super().release()
-
-
-class Barrier:
-    """Reusable N-party barrier.
-
-    The i-th arrival of each generation suspends until all N have arrived;
-    all are then released at the same instant.  ``wait()`` resumes with the
-    arrival index (0-based) within the generation, which tests use to
-    verify release ordering.
-    """
-
-    def __init__(self, engine: Engine, parties: int, name: str = "barrier"):
-        if parties < 1:
-            raise ValueError("barrier needs >= 1 parties")
-        self.engine = engine
-        self.parties = parties
-        self.name = name
-        self._generation = 0
-        self._arrived: list[Event] = []
-
-    def wait(self) -> Generator[Any, Any, int]:
-        index = len(self._arrived)
-        if index + 1 == self.parties:
-            arrived, self._arrived = self._arrived, []
-            self._generation += 1
-            for ev in arrived:
-                ev.succeed(None)
-            return index
-        ev = self.engine.event(name=f"{self.name}.g{self._generation}")
-        self._arrived.append(ev)
-        yield ev
-        return index
+__all__ = ["Channel", "Store"]
 
 
 class Channel:
@@ -155,15 +63,6 @@ class Channel:
         self._putters.append((ev, item))
         yield ev
 
-    def try_put(self, item: Any) -> bool:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-            return True
-        if self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            return True
-        return False
-
     def get(self) -> Generator[Any, Any, Any]:
         """Generator: dequeue the oldest item, blocking while empty."""
         if self._items:
@@ -174,13 +73,6 @@ class Channel:
         self._getters.append(ev)
         item = yield ev
         return item
-
-    def try_get(self) -> tuple[bool, Any]:
-        if self._items:
-            item = self._items.popleft()
-            self._admit_putter()
-            return True, item
-        return False, None
 
     def _admit_putter(self) -> None:
         if self._putters:
@@ -284,9 +176,3 @@ class Store:
         item = yield self.get_async(predicate, key)
         return item
 
-    def peek(self, predicate) -> Optional[Any]:
-        """Return (without removing) the oldest matching item, or None."""
-        for item in self._items.values():
-            if predicate(item):
-                return item
-        return None

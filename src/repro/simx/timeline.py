@@ -3,7 +3,7 @@
 The paper's central methodological point is that *the platform's own
 instrumentation lies* about SMM time.  The :class:`Timeline` is the
 omniscient observer that the real hardware lacks: every interesting
-transition (SMM entry/exit, task state changes, messages, interrupts) is
+transition (SMM entry/exit, task state changes, messages) is
 recorded here with ground-truth timestamps, so SMM residency
 (:meth:`Timeline.intervals` + :meth:`Timeline.total_overlap`) can be
 compared against the kernel's (deliberately wrong) accounting in
@@ -34,12 +34,7 @@ class TraceRecord:
 
 
 class Timeline:
-    """An append-only trace with simple querying.
-
-    Recording can be disabled per-kind-prefix for big runs (the benchmark
-    harness disables ``task.*`` records for million-event BT runs while
-    keeping ``smm.*``).
-    """
+    """An append-only trace with simple querying."""
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -47,7 +42,6 @@ class Timeline:
         # Bound-method cache: record() is called once per SMM transition /
         # message / interrupt on big runs.
         self._append = self._records.append
-        self._muted_prefixes: tuple[str, ...] = ()
         self._counters: dict[str, int] = {}
 
     # -- recording ----------------------------------------------------------
@@ -60,14 +54,7 @@ class Timeline:
             return
         counters = self._counters
         counters[kind] = counters.get(kind, 0) + 1
-        if self._muted_prefixes and kind.startswith(self._muted_prefixes):
-            return
         self._append(TraceRecord(time, kind, where, data))
-
-    def mute(self, *prefixes: str) -> None:
-        """Stop storing records whose kind starts with any prefix
-        (counters still accumulate)."""
-        self._muted_prefixes = tuple(set(self._muted_prefixes) | set(prefixes))
 
     # -- querying ----------------------------------------------------------
     def __len__(self) -> int:

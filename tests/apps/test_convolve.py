@@ -99,7 +99,7 @@ def test_result_metadata():
     assert r.extra["logical_cpus"] == 2
     assert r.extra["threads"] == 24
     assert r.extra["smm_entries"] > 0
-    assert r.mops > 0
+    assert r.work_ops > 0 and r.elapsed_s > 0
 
 
 def test_custom_config_validation_and_work():

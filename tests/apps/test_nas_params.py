@@ -31,9 +31,9 @@ def test_structural_invariants_all_hold():
 
 
 def test_ep_pair_counts():
-    assert EP_PARAMS[NasClass.A].pairs == 1 << 28
-    assert EP_PARAMS[NasClass.C].pairs == 1 << 32
-    assert EP_PARAMS[NasClass.A].ops_per_pair > 0
+    assert EP_PARAMS[NasClass.A].m == 28  # 2^28 pairs
+    assert EP_PARAMS[NasClass.C].m == 32
+    assert EP_PARAMS[NasClass.A].work_total > 0
 
 
 def test_bt_message_size_shrinks_with_ranks():

@@ -7,6 +7,7 @@ import pytest
 from repro.apps.unixbench import BASELINES, UB_TESTS, geometric_index, run_unixbench
 from repro.apps.unixbench.index import IndexResult, TestScore
 from repro.core.smi import SmiProfile
+from repro.machine.topology import R410_SPEC
 
 
 def test_baseline_table_complete():
@@ -53,7 +54,9 @@ def test_whetstone_is_htt_neutral_dhrystone_is_not():
 
 
 def test_calibrated_solo_rates_in_nehalem_range():
-    by = {t.name: t.solo_ops_per_s() for t in UB_TESTS}
+    # raw result of one copy on an idle CPU
+    by = {t.name: t.profile.solo_rate(R410_SPEC.base_hz) / t.units_per_op
+          for t in UB_TESTS}
     assert 5e6 < by["dhrystone"] < 1e8
     assert 500 < by["whetstone"] < 10_000           # MWIPS
     assert 1e5 < by["context_switching"] < 2e6      # switches/s

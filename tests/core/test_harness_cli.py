@@ -22,6 +22,16 @@ def test_cli_calibrate_quick(capsys):
     assert "err 0%" in out or "err 0.0%" in out or "err" in out
 
 
+@pytest.mark.parametrize("flag", [["--jobs", "2"], ["--manifest"], ["--attr"]])
+def test_cli_calibrate_rejects_sweep_flags(flag, capsys):
+    """calibrate reads only --quick and --seed; a sweep flag is a usage
+    error, not silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--quick", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_detect(capsys):
     assert main(["detect", "--window", "0.05"]) == 0
     out = capsys.readouterr().out

@@ -41,7 +41,6 @@ def test_none_profile_is_inert():
     m = make_machine(WYEAST_SPEC)
     src = SmiSource(m.node, None, 1000)
     assert src.proc is None
-    assert src.expected_duty_cycle == 0.0
 
 
 def test_free_running_regime_slowdown():
@@ -49,7 +48,6 @@ def test_free_running_regime_slowdown():
     _, src, t = run_with_source(SmiProfile.LONG, 1000)
     assert 1.08 < t / 2.0 < 1.15
     assert src.swallowed_ticks == 0
-    assert src.expected_duty_cycle == pytest.approx(0.105, rel=0.01)
 
 
 def test_swallowed_tick_regime_slowdown():
@@ -106,8 +104,7 @@ def test_driver_lifecycle_and_stats():
     drv = BlackboxSmiDriver(m.node)
     drv.configure(smm_class=2, interval_jiffies=300, seed=2)
     drv.start()
-    assert drv.loaded
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError):  # already loaded
         drv.start()
     with pytest.raises(RuntimeError):
         drv.configure(smm_class=1)

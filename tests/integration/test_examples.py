@@ -32,6 +32,12 @@ def test_smi_detection():
     assert "detector:" in out
 
 
+def test_rim_inspection_cost():
+    out = run_example("rim_inspection_cost.py", timeout=180)
+    assert "UnixBench idx" in out and "FT.A @4 nodes" in out
+    assert "250 ms" in out
+
+
 @pytest.mark.slow
 def test_mpi_noise_study():
     out = run_example("mpi_noise_study.py", timeout=400)

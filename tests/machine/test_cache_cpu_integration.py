@@ -1,5 +1,7 @@
 """Cache model × CPU model end-to-end: contention reaches wall time."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.machine.profile import WorkloadProfile
@@ -13,7 +15,7 @@ HEAVY = WorkloadProfile(
     name="llc-heavy", htt_yield=2.0, working_set_bytes=6 << 20,
     base_miss_rate=0.02, mem_ref_fraction=0.3, cache_sensitivity=1.0,
 )
-LIGHT = HEAVY.with_(working_set_bytes=64 << 10)
+LIGHT = replace(HEAVY, working_set_bytes=64 << 10)
 
 
 def run_pair(profile_a, profile_b, cpus=(0, 1)):
@@ -66,6 +68,6 @@ def test_contention_releases_when_partner_finishes():
 
 
 def test_sensitivity_zero_ignores_contention():
-    numb = HEAVY.with_(cache_sensitivity=0.0)
+    numb = replace(HEAVY, cache_sensitivity=0.0)
     t, _ = run_pair(numb, numb)
     assert t == pytest.approx(0.1, rel=0.02)

@@ -1,5 +1,7 @@
 """CPU execution: timing exactness, processor sharing, HTT coupling."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -10,7 +12,7 @@ from repro.system import make_machine
 
 REG = WorkloadProfile(name="reg", mem_ref_fraction=0.0, base_miss_rate=0.0,
                       htt_yield=1.0, working_set_bytes=1024)
-REG_HTT = REG.with_(htt_yield=1.5)
+REG_HTT = replace(REG, htt_yield=1.5)
 
 
 def run_workers(machine, n, work, profile, affinity=None):
@@ -258,5 +260,6 @@ def test_integer_sum_rates_equal_list_sum_rates_bit_for_bit(
     node.recompute()
     assert len(node._busy) == busy
     for cpu in node._busy:
-        got = [cpu.executor.rate_of(it).hex() for it in cpu.executor.items]
+        # the executor's rate slots are in item order
+        got = [r.hex() for r in cpu.executor._rate]
         assert got == [r.hex() for r in _list_sum_rates(node, cpu)]

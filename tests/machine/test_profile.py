@@ -73,13 +73,6 @@ def test_solo_rate_scales_with_hz():
     assert p.solo_rate(2.27e9) < 2.27e9  # efficiency < 1 with memory refs
 
 
-def test_with_returns_modified_copy():
-    p = COMPUTE_BOUND.with_(htt_yield=1.5)
-    assert p.htt_yield == 1.5
-    assert COMPUTE_BOUND.htt_yield == 1.0
-    assert p.name == COMPUTE_BOUND.name
-
-
 def test_canonical_profiles_encode_paper_taxonomy():
     # FP-intensive gains nothing from HTT (Leng et al. [4]).
     assert COMPUTE_BOUND.htt_yield == 1.0

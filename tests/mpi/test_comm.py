@@ -87,7 +87,7 @@ def test_irecv_then_wait():
     def app(rk):
         if rk.rank == 0:
             req = rk.irecv(1, tag=5)
-            assert not req.complete
+            assert req.test() is None  # not yet complete
             yield from rk.send(1, 8, "ping", tag=4)
             msg = yield from rk.wait(req)
             return msg.payload

@@ -28,7 +28,7 @@ def test_nic_serializes_fifo():
     assert end2 == 2 * end1
     # rx direction independent (full duplex)
     assert nic.occupy_rx(0, 1_000_000) == end1
-    assert nic.busy_until() == end2
+    assert nic.tx_queue_delay(0) == end2  # tx busy until then
 
 
 def test_transfer_alpha_beta_timing():

@@ -27,9 +27,9 @@ def test_second_lock_refused_with_holder_breadcrumb(tmp_path):
 def test_release_frees_the_lock(tmp_path):
     path = str(tmp_path / "x.lock")
     lock = SingleWriterLock(path).acquire()
-    assert lock.held
+    with pytest.raises(LockHeldError):
+        SingleWriterLock(path).acquire()
     lock.release()
-    assert not lock.held
     SingleWriterLock(path).acquire().release()  # now free
 
 
@@ -41,8 +41,7 @@ def test_acquire_is_idempotent_while_held(tmp_path):
 
 def test_context_manager(tmp_path):
     path = str(tmp_path / "x.lock")
-    with SingleWriterLock(path) as lock:
-        assert lock.held
+    with SingleWriterLock(path):
         with pytest.raises(LockHeldError):
             SingleWriterLock(path).acquire()
     SingleWriterLock(path).acquire().release()

@@ -119,7 +119,7 @@ def test_accounting_separates_stolen_time():
     assert t.acct.stolen_ns == pytest.approx(50_005_000, rel=0.01)
     assert t.acct.true_ns == pytest.approx(0.1e9, rel=1e-3)
     assert t.acct.kernel_ns == pytest.approx(t.acct.true_ns + t.acct.stolen_ns)
-    assert t.acct.inflation == pytest.approx(0.5, rel=0.05)
+    assert t.acct.stolen_ns / t.acct.true_ns == pytest.approx(0.5, rel=0.05)
 
 
 def test_affinity_respected():

@@ -8,10 +8,12 @@ from repro.simx import (
     AnyOf,
     Delay,
     Engine,
-    Interrupt,
     SimulationError,
-    DeadlockError,
 )
+
+
+class Wakeup(Exception):
+    """Thrown into a process with :meth:`Process.abort`."""
 
 
 def test_time_starts_at_zero():
@@ -255,11 +257,11 @@ def test_interrupt_breaks_delay():
     def body():
         try:
             yield Delay(1_000_000)
-        except Interrupt as i:
-            return ("interrupted", i.cause, eng.now)
+        except Wakeup as w:
+            return ("interrupted", w.args[0], eng.now)
 
     p = eng.process(body())
-    eng.schedule(100, p.interrupt, "wakeup")
+    eng.schedule(100, p.abort, Wakeup("wakeup"))
     eng.run()
     assert p.result == ("interrupted", "wakeup", 100)
 
@@ -271,12 +273,12 @@ def test_stale_event_callback_after_interrupt_is_ignored():
     def body():
         try:
             yield ev
-        except Interrupt:
+        except Wakeup:
             yield Delay(50)
             return "recovered"
 
     p = eng.process(body())
-    eng.schedule(10, p.interrupt, None)
+    eng.schedule(10, p.abort, Wakeup())
     eng.schedule(20, ev.succeed, "late")  # must not resume the process twice
     eng.run()
     assert p.result == "recovered"
@@ -348,17 +350,6 @@ def test_run_until_event():
     eng.run_until(ev)
     assert ev.triggered
     assert all(t <= 55 for t in ticks)
-
-
-def test_deadlock_detection():
-    eng = Engine()
-
-    def stuck():
-        yield eng.event("never")
-
-    eng.process(stuck(), name="stuck")
-    with pytest.raises(DeadlockError):
-        eng.run_until_deadlock_check()
 
 
 @settings(max_examples=30, deadline=None)

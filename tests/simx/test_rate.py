@@ -15,6 +15,20 @@ def make(engine=None):
     return eng, ex, completed
 
 
+def defer_reschedule(ex):
+    """Open a coalescing batch on one executor, as
+    ``Node.begin_rate_batch`` does for each busy CPU."""
+    ex._defer = True
+
+
+def flush_reschedule(ex):
+    """Close it, as ``Node.end_rate_batch`` does: one owed pass."""
+    ex._defer = False
+    if ex._dirty:
+        ex._dirty = False
+        ex._reschedule()
+
+
 def test_single_item_completes_at_demand_over_rate():
     eng, ex, done = make()
     item = WorkItem(eng, demand=1000.0)
@@ -67,7 +81,7 @@ def test_remove_mid_flight_keeps_partial_progress():
     eng.run()
     assert done == []
     assert item.remaining == pytest.approx(600.0)
-    assert item.executed == pytest.approx(400.0)
+    assert item.demand - item.remaining == pytest.approx(400.0)
 
 
 def test_completion_order_among_simultaneous_finishers_is_insertion_order():
@@ -249,7 +263,7 @@ def test_remove_last_item_cancels_completion_timer():
 
 
 def test_remove_inside_defer_window_cancels_stale_timer():
-    """Regression: same eviction inside a defer_reschedule window.  The
+    """Regression: same eviction inside a deferred-reschedule window.  The
     deferred pass only runs at flush, so ``remove`` itself must tear the
     timer down — otherwise the stale ETA entry survives the window and
     fires ``_on_timer`` for the dead item."""
@@ -261,13 +275,13 @@ def test_remove_inside_defer_window_cancels_stale_timer():
     ex.set_rates({item: 1.0})
 
     def evict_batched():
-        ex.defer_reschedule()
+        defer_reschedule(ex)
         try:
             ex.remove(item)
             # Eager cancellation must not wait for the flush.
             assert ex._timer is None
         finally:
-            ex.flush_reschedule()
+            flush_reschedule(ex)
         assert ex._timer is None
 
     eng.schedule(400, evict_batched)
@@ -292,11 +306,11 @@ def test_remove_soonest_item_in_defer_window_retargets_timer():
     ex.set_rates({fast: 1.0, slow: 1.0})  # timer armed for fast at t=100
 
     def evict_fast():
-        ex.defer_reschedule()
+        defer_reschedule(ex)
         try:
             ex.remove(fast)
         finally:
-            ex.flush_reschedule()
+            flush_reschedule(ex)
 
     eng.schedule(50, evict_fast)
     eng.run()
@@ -334,14 +348,14 @@ def test_deferred_reschedule_coalesces_to_one_pass():
     ex.set_rates({item: 1.0})
 
     def batched_churn():
-        ex.defer_reschedule()
+        defer_reschedule(ex)
         try:
             ex.set_rates({item: 0.0})
             ex.set_rates({item: 2.0})
             ex.set_rates({item: 1.0})
             assert ex._dirty  # mutations owed exactly one pass
         finally:
-            ex.flush_reschedule()
+            flush_reschedule(ex)
         assert not ex._dirty
 
     eng.schedule(250, batched_churn)
@@ -356,8 +370,8 @@ def test_flush_without_mutation_is_a_no_op():
     ex.add(item)
     ex.set_rates({item: 1.0})
     timer = ex._timer
-    ex.defer_reschedule()
-    ex.flush_reschedule()  # nothing dirtied: live timer must survive
+    defer_reschedule(ex)
+    flush_reschedule(ex)  # nothing dirtied: live timer must survive
     assert ex._timer is timer
     eng.run()
     assert item.finished_at == 100

@@ -1,154 +1,8 @@
-"""Synchronization primitives: fairness, blocking, matching."""
+"""Communication primitives: fairness, blocking, matching."""
 
 import pytest
 
-from repro.simx import Barrier, Channel, Delay, Engine, Lock, Semaphore, Store
-from repro.simx.errors import SimulationError
-
-
-# ---------------------------------------------------------------------------
-# Semaphore / Lock
-# ---------------------------------------------------------------------------
-
-def test_semaphore_counts():
-    eng = Engine()
-    sem = Semaphore(eng, value=2)
-    assert sem.try_acquire()
-    assert sem.try_acquire()
-    assert not sem.try_acquire()
-    sem.release()
-    assert sem.try_acquire()
-
-
-def test_semaphore_fifo_wakeup():
-    eng = Engine()
-    sem = Semaphore(eng, value=1)
-    order = []
-
-    def worker(i):
-        def body():
-            yield from sem.acquire()
-            order.append(i)
-            yield Delay(10)
-            sem.release()
-
-        return body
-
-    for i in range(5):
-        eng.process(worker(i)(), name=f"w{i}")
-    eng.run()
-    assert order == [0, 1, 2, 3, 4]
-
-
-def test_semaphore_handoff_no_barging():
-    """A releasing looper can't re-grab ahead of an already queued waiter."""
-    eng = Engine()
-    sem = Semaphore(eng, value=1)
-    got = []
-
-    def hog():
-        yield from sem.acquire()
-        yield Delay(10)
-        sem.release()
-        # immediately try again — waiter must win
-        if sem.try_acquire():
-            got.append("hog-barged")
-
-    def waiter():
-        yield Delay(1)
-        yield from sem.acquire()
-        got.append("waiter")
-
-    eng.process(hog())
-    eng.process(waiter())
-    eng.run()
-    assert got == ["waiter"]
-
-
-def test_lock_release_unheld_raises():
-    eng = Engine()
-    lock = Lock(eng)
-    with pytest.raises(SimulationError):
-        lock.release()
-
-
-def test_lock_held_property():
-    eng = Engine()
-    lock = Lock(eng)
-    assert not lock.held
-    assert lock.try_acquire()
-    assert lock.held
-    lock.release()
-    assert not lock.held
-
-
-def test_semaphore_negative_value_rejected():
-    with pytest.raises(ValueError):
-        Semaphore(Engine(), value=-1)
-
-
-# ---------------------------------------------------------------------------
-# Barrier
-# ---------------------------------------------------------------------------
-
-def test_barrier_releases_all_at_once():
-    eng = Engine()
-    bar = Barrier(eng, parties=3)
-    release_times = []
-
-    def worker(delay):
-        def body():
-            yield Delay(delay)
-            yield from bar.wait()
-            release_times.append(eng.now)
-
-        return body
-
-    for d in (10, 50, 90):
-        eng.process(worker(d)())
-    eng.run()
-    assert release_times == [90, 90, 90]
-
-
-def test_barrier_is_reusable_across_generations():
-    eng = Engine()
-    bar = Barrier(eng, parties=2)
-    phases = []
-
-    def worker(name, d):
-        def body():
-            for phase in range(3):
-                yield Delay(d)
-                yield from bar.wait()
-                phases.append((phase, name, eng.now))
-
-        return body
-
-    eng.process(worker("fast", 10)())
-    eng.process(worker("slow", 30)())
-    eng.run()
-    # Each phase completes at the slow worker's pace.
-    times = [t for (_p, _n, t) in phases]
-    assert times == [30, 30, 60, 60, 90, 90]
-
-
-def test_barrier_single_party_never_blocks():
-    eng = Engine()
-    bar = Barrier(eng, parties=1)
-
-    def body():
-        idx = yield from bar.wait()
-        return idx
-
-    p = eng.process(body())
-    eng.run()
-    assert p.result == 0
-    assert eng.now == 0
-
-
-def test_barrier_requires_parties():
-    with pytest.raises(ValueError):
-        Barrier(Engine(), parties=0)
+from repro.simx import Channel, Delay, Engine, Store
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +75,6 @@ def test_channel_capacity_blocks_put():
     assert put2[1] >= 100
 
 
-def test_channel_try_ops():
-    eng = Engine()
-    ch = Channel(eng, capacity=1)
-    assert ch.try_put("a")
-    assert not ch.try_put("b")
-    ok, v = ch.try_get()
-    assert ok and v == "a"
-    ok, _ = ch.try_get()
-    assert not ok
-
-
 def test_channel_bad_capacity():
     with pytest.raises(ValueError):
         Channel(Engine(), capacity=0)
@@ -288,7 +131,7 @@ def test_store_waiter_woken_on_put():
     eng.schedule(9, store.put, 99)   # matches
     eng.run()
     assert p.result == (99, 9)
-    assert store.peek(lambda m: m == 3) == 3
+    assert store.get_async(lambda m: m == 3).value == 3  # still queued
 
 
 def test_store_oldest_waiter_wins():
@@ -356,7 +199,7 @@ def test_store_keyed_non_overtaking_mixed_with_wildcard():
         assert ev.triggered
         got.append(ev.value["seq"])
     assert got == [1, 2, 3]  # arrival order, no overtaking, no seq-0 replay
-    assert store.peek(lambda m: True)["seq"] == 99
+    assert store.get_async(lambda m: True).value["seq"] == 99
 
 
 def test_store_keyed_miss_registers_waiter():

@@ -35,15 +35,6 @@ def test_select_with_predicate():
     assert len(hits) == 1 and hits[0].kind == "task.run"
 
 
-def test_count_ignores_muting():
-    tl = Timeline()
-    tl.mute("task.")
-    tl.record(0, "task.run", "n")
-    tl.record(0, "smm.enter", "n")
-    assert tl.count("task.run") == 1
-    assert len(tl) == 1  # only the smm record stored
-
-
 def test_disabled_timeline_is_inert():
     # The zero-cost-when-disabled contract: a disabled timeline records
     # nothing, not even counters (hot call sites skip the call entirely
