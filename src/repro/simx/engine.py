@@ -46,9 +46,10 @@ comparison (``seq`` is unique, so comparison never reaches ``fn``), and
 no closure is allocated per scheduled callback.  Cancellation is *lazy*:
 ``cancel`` flips the tombstone flag in place and the run loop discards
 the entry when it surfaces, so cancelling never touches the heap.  The
-public :class:`Handle` is a thin view over the entry; internal callers
-(processes, rate executors) use :meth:`Engine._post` and skip even that
-allocation.
+public :meth:`Engine.schedule`/:meth:`Engine.schedule_at` return nothing;
+a caller that must cancel (processes, rate executors) keeps the raw entry
+from :meth:`Engine._post` and tombstones it with
+:meth:`Engine._cancel_entry`.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from typing import Any, Callable, Generator, Iterable, List, Optional
 
 from repro.simx.errors import ProcessKilled, SimulationError
 
-__all__ = ["Engine", "Delay", "Event", "AllOf", "AnyOf", "Process", "Handle"]
+__all__ = ["Engine", "Delay", "Event", "AllOf", "AnyOf", "Process"]
 
 # Heap-entry field indices (see module docstring).
 _TIME, _SEQ, _FN, _ARGS, _DAEMON, _CANCELLED = range(6)
@@ -191,45 +192,6 @@ class AnyOf:
             raise ValueError("AnyOf requires at least one waitable")
 
 
-class Handle:
-    """A cancelable scheduled callback returned by :meth:`Engine.schedule`.
-
-    ``daemon`` callbacks do not keep the engine alive: like daemon
-    threads, they serve perpetual background activities (the SMI trigger
-    timer, the kernel's periodic load balancer) and :meth:`Engine.run`
-    returns once only daemon events remain.
-    """
-
-    __slots__ = ("engine", "_entry")
-
-    def __init__(self, engine: "Engine", entry: list):
-        self.engine = engine
-        self._entry = entry
-
-    @property
-    def time(self) -> int:
-        return self._entry[_TIME]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[_SEQ]
-
-    @property
-    def fn(self) -> Callable[..., None]:
-        return self._entry[_FN]
-
-    @property
-    def daemon(self) -> bool:
-        return self._entry[_DAEMON]
-
-    def cancel(self) -> None:
-        """Prevent the callback from firing.  Idempotent."""
-        self.engine._cancel_entry(self._entry)
-
-    def __lt__(self, other: "Handle") -> bool:
-        return self._entry < other._entry
-
-
 class Process:
     """A running generator on the engine.  See module docstring for the
     yield protocol.  A process is itself waitable (join)."""
@@ -280,7 +242,10 @@ class Process:
     @property
     def result(self) -> Any:
         """Return value of the generator; raises if not finished or failed."""
-        return self.done_event.value
+        ev = self.done_event
+        if ev.triggered and not ev.ok:
+            raise ev.exception
+        return ev.value
 
     def kill(self) -> None:
         """Terminate the process by throwing :class:`ProcessKilled` into it."""
@@ -559,8 +524,8 @@ class Engine:
     # -- scheduling -----------------------------------------------------------
     def _post(self, delay_ns: int, fn: Callable[..., None], args: tuple,
               daemon: bool) -> list:
-        """Internal fast-path schedule: returns the raw heap entry (no
-        :class:`Handle` allocation).  Cancel with :meth:`_cancel_entry`."""
+        """Internal fast-path schedule: returns the raw heap entry.
+        Cancel with :meth:`_cancel_entry`."""
         t_ns = self._now + delay_ns
         self._seq = seq = self._seq + 1
         entry = [t_ns, seq, fn, args, daemon, False]
@@ -580,28 +545,31 @@ class Engine:
                 self._foreground -= 1
 
     def schedule(self, delay_ns: int, fn: Callable[..., None], *args: Any,
-                 daemon: bool = False) -> Handle:
-        """Schedule ``fn(*args)`` after ``delay_ns`` nanoseconds."""
+                 daemon: bool = False) -> None:
+        """Schedule ``fn(*args)`` after ``delay_ns`` nanoseconds.
+
+        ``daemon=True`` events do not keep :meth:`run` alive on their own:
+        like daemon threads, they serve perpetual background activities
+        (the SMI trigger timer, the kernel's periodic load balancer).
+        """
         delay_ns = int(delay_ns)
         if delay_ns < 0:
             raise SimulationError(
                 f"cannot schedule into the past: {self._now + delay_ns} "
                 f"< now={self._now}"
             )
-        return Handle(self, self._post(delay_ns, fn, args, daemon))
+        self._post(delay_ns, fn, args, daemon)
 
     def schedule_at(self, t_ns: int, fn: Callable[..., None], *args: Any,
-                    daemon: bool = False) -> Handle:
-        """Schedule ``fn(*args)`` at absolute time ``t_ns``.
-
-        ``daemon=True`` events do not keep :meth:`run` alive on their own.
-        """
+                    daemon: bool = False) -> None:
+        """Schedule ``fn(*args)`` at absolute time ``t_ns`` (see
+        :meth:`schedule` for ``daemon``)."""
         t_ns = int(t_ns)
         if t_ns < self._now:
             raise SimulationError(
                 f"cannot schedule into the past: {t_ns} < now={self._now}"
             )
-        return Handle(self, self._post(t_ns - self._now, fn, args, daemon))
+        self._post(t_ns - self._now, fn, args, daemon)
 
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""

@@ -51,8 +51,8 @@ def test_schedule_into_past_raises():
 def test_cancel_prevents_callback():
     eng = Engine()
     seen = []
-    h = eng.schedule(10, seen.append, "x")
-    h.cancel()
+    entry = eng._post(10, seen.append, ("x",), False)
+    eng._cancel_entry(entry)
     eng.run()
     assert seen == []
 
@@ -187,6 +187,32 @@ def test_child_exception_reraised_in_joiner():
     p = eng.process(parent())
     eng.run()
     assert p.result == "child failed"
+
+
+def test_result_of_failed_process_raises():
+    eng = Engine()
+
+    def child():
+        yield Delay(10)
+        raise RuntimeError("child failed")
+
+    p = eng.process(child(), name="c")
+    p.done_event.add_callback(lambda _ev: None)  # joined: not an orphan
+    eng.run()
+    assert not p.alive and not p.done_event.ok
+    with pytest.raises(RuntimeError, match="child failed"):
+        p.result
+
+
+def test_result_of_unfinished_process_raises():
+    eng = Engine()
+
+    def body():
+        yield Delay(10)
+
+    p = eng.process(body())
+    with pytest.raises(SimulationError, match="not yet triggered"):
+        p.result
 
 
 def test_orphan_failure_surfaces_in_run():

@@ -53,9 +53,9 @@ def test_foreground_process_keeps_daemons_ticking():
 
 def test_cancel_releases_foreground_count():
     eng = Engine()
-    h = eng.schedule(100, lambda: None)
-    h.cancel()
-    h.cancel()  # idempotent
+    entry = eng._post(100, lambda: None, (), False)
+    eng._cancel_entry(entry)
+    eng._cancel_entry(entry)  # idempotent
     # nothing foreground left: run returns at t=0
     assert eng.run() == 0
 
