@@ -17,7 +17,10 @@ With ``--faults`` it instead runs the *model-level* fault drill (the CI
 ``fault-smoke`` job): a node-crash fault plan against the quick BT table
 must kill exactly the matched cell in simulation — exit 1, a
 ``failed-in-sim`` manifest row rendered as "-", a resumable journal that
-reproduces the same deterministic failure on --resume.
+reproduces the same deterministic failure on --resume.  Then a plan
+against the quick Figure 2 sweep degrades one cell's CPU (the cell ends
+ok, with ``fault_events`` in its manifest value) and crashes another's
+node (``failed-in-sim``); the command exits 1.
 
 With ``--serve`` it runs the same kill/hang/corrupt/flake chaos plans
 against the *serve daemon's* long-lived workers instead (drill 5): the
@@ -91,8 +94,32 @@ def main_faults(work):
     assert in_sim2[0]["fault"]["events"] == first_events, \
         "fault replay must be deterministic"
 
+    print("== drill 4c: figure2 cells: degraded CPU ok, crashed node in-sim ==")
+    degraded, crashed = "figure2 1cpu", "figure2 2cpu"
+    plan_fig = os.path.join(work, "figure-plan.json")
+    with open(plan_fig, "w") as fp:
+        json.dump([
+            {"match": degraded, "fault": "cpu_degrade", "node": 0, "cpu": 0,
+             "at_s": 0.3, "factor": 0.5},
+            {"match": crashed, "fault": "node_crash", "node": 0, "at_s": 0.3},
+        ], fp)
+    man_fig = os.path.join(work, "figure2-faulted.json")
+    r = _cli(["figure2", "--quick", "--jobs", "2", "--fault-plan", plan_fig,
+              "--manifest", man_fig], env=_env(), cwd=work)
+    assert r.returncode == 1, (r.returncode, r.stdout, r.stderr)
+    assert "failed in simulation" in r.stderr, r.stderr
+    cells = {c["id"]: c for c in json.load(open(man_fig))["cells"]}
+    assert cells[degraded]["status"] == "ok", cells[degraded]
+    assert cells[degraded]["value"]["fault_events"][0]["fault"] == \
+        "cpu_degrade", cells[degraded]
+    assert cells[crashed]["status"] == "failed-in-sim", cells[crashed]
+    assert "NodeFailedError" in cells[crashed]["error"], cells[crashed]
+    others = [c for i, c in cells.items() if i not in (degraded, crashed)]
+    assert others and all(c["status"] == "ok" for c in others), others
+
     print("ok: fault plan killed exactly the matched cell in-sim, the rest "
-          "completed, and --resume reproduced the identical failure")
+          "completed, --resume reproduced the identical failure, and the "
+          "figure cells degraded or failed in-sim as planned")
     return 0
 
 

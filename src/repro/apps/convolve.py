@@ -31,12 +31,12 @@ as CPU work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.apps.base import AppResult
 from repro.machine.profile import WorkloadProfile
 from repro.machine.topology import R410_SPEC
-from repro.system import SimulatedMachine, make_machine
+from repro.system import make_machine
 
 __all__ = ["ConvolveConfig", "CACHE_FRIENDLY", "CACHE_UNFRIENDLY", "run_convolve"]
 
@@ -124,17 +124,21 @@ def run_convolve(
     smi_durations=None,
     smi_interval_jiffies: int = 1000,
     seed: int = 1,
-    machine: Optional[SimulatedMachine] = None,
+    faults=None,
     metrics=None,
 ) -> AppResult:
     """Run one Convolve experiment: ``threads`` workers on a machine
     configured to ``logical_cpus`` online CPUs (the paper's sysfs
     methodology), optionally under SMI noise.  Returns wall time and MOPs.
+
+    ``faults`` (a :class:`repro.faults.FaultInjector`) is armed against
+    the fresh machine's node before anything else is scheduled on it.
     """
     from repro.core.smi import SmiSource
 
-    if machine is None:
-        machine = make_machine(R410_SPEC, seed=seed, metrics=metrics)
+    machine = make_machine(R410_SPEC, seed=seed, metrics=metrics)
+    if faults is not None:
+        faults.attach_node(machine.node)
     machine.sysfs.set_logical_cpus(logical_cpus)
     if smi_durations is not None:
         SmiSource(machine.node, smi_durations, smi_interval_jiffies, seed=seed + 17)

@@ -16,7 +16,7 @@ the driver does on hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from repro.apps.unixbench.index import IndexResult, TestScore
 from repro.apps.unixbench.tests import UB_TESTS, UbTest
@@ -135,15 +135,20 @@ def run_unixbench(
     smi_interval_jiffies: int = 1000,
     seed: int = 1,
     duration_s: float = DEFAULT_DURATION_S,
-    machine: Optional[SimulatedMachine] = None,
+    faults=None,
     metrics=None,
 ) -> UnixbenchRun:
     """One full duplex UnixBench run at a CPU configuration, optionally
-    under SMI noise.  Returns single-copy and per-CPU-copy indices."""
+    under SMI noise.  Returns single-copy and per-CPU-copy indices.
+
+    ``faults`` (a :class:`repro.faults.FaultInjector`) is armed against
+    the fresh machine's node before anything else is scheduled on it.
+    """
     from repro.core.smi import SmiSource
 
-    if machine is None:
-        machine = make_machine(R410_SPEC, seed=seed, metrics=metrics)
+    machine = make_machine(R410_SPEC, seed=seed, metrics=metrics)
+    if faults is not None:
+        faults.attach_node(machine.node)
     machine.sysfs.set_logical_cpus(logical_cpus)
     if smi_durations is not None:
         SmiSource(machine.node, smi_durations, smi_interval_jiffies, seed=seed + 29)

@@ -178,12 +178,10 @@ def _print_metrics(args: argparse.Namespace, registry) -> None:
 
 
 def _load_fault_plan(path: Optional[str]):
-    """``(plan, resolved_path, error)`` for a ``--fault-plan``/env path —
-    all ``None`` when no plan is configured, ``error`` set on a bad one."""
-    from repro.faults import PLAN_ENV, FaultPlan
+    """``(plan, path, error)`` for a resolved ``--fault-plan`` path — all
+    ``None`` when no plan is configured, ``error`` set on a bad one."""
+    from repro.faults import FaultPlan
 
-    if path is None:
-        path = os.environ.get(PLAN_ENV) or None
     if not path:
         return None, None, None
     try:
@@ -281,11 +279,7 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
     quick, seed = args.quick, args.seed
     reps = args.reps if args.reps is not None else (1 if args.quick else 3)
     attr = bool(getattr(args, "attr", None))
-    fault_plan_path = getattr(args, "fault_plan", None)
-    if fault_plan_path is None:
-        from repro.faults import PLAN_ENV
-
-        fault_plan_path = os.environ.get(PLAN_ENV) or None
+    fault_plan_path = args.fault_plan
     completed = {}
     if args.resume:
         try:
@@ -1037,7 +1031,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--attr", action="store_true",
                    help="run the attribution engine alongside each NAS cell")
     p.add_argument("--fault-plan", default=None, metavar="PATH",
-                   help="inject model-level faults from a JSON plan")
+                   help="inject model-level faults from a JSON plan "
+                   "(env: REPRO_FAULT_PLAN)")
     p.add_argument("--socket", default="serve-state/serve.sock",
                    help="daemon unix socket")
     p.add_argument("--tcp", type=_parse_hostport, default=None,
@@ -1066,6 +1061,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="print the daemon's Prometheus metrics text")
     p.set_defaults(fn=_serve_status)
     args = parser.parse_args(argv)
+    if "fault_plan" in vars(args) and args.fault_plan is None:
+        # The one place REPRO_FAULT_PLAN is read: ``--fault-plan`` wins.
+        from repro.faults import PLAN_ENV
+
+        args.fault_plan = os.environ.get(PLAN_ENV) or None
     _setup_logging(args.verbose)
     return args.fn(args)
 

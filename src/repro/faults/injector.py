@@ -5,14 +5,20 @@ it owns a seeded RNG for the probabilistic link faults, a bounded event
 log, and the derived MPI timeout.  Attach it to a
 :class:`repro.mpi.cluster.Cluster` *before* the job launches::
 
-    inj = FaultInjector.from_rules(rule_dicts, seed=seed)
+    inj = FaultInjector(rule_dicts, seed=seed)   # FaultRule objects work too
     inj.attach(cluster)            # arms node-fault timers, hooks links
     run_mpi_job(cluster, ...)      # raises JobAbortedError on fatal faults
 
 or to a single :class:`repro.machine.node.Node` for the single-machine
-experiments (Convolve, UnixBench)::
+experiments — ``run_convolve``/``run_unixbench`` do this when passed
+``faults=inj``::
 
     inj.attach_node(machine.node)
+
+``run_nas_config(..., faults=inj)`` calls :meth:`FaultInjector.attach`
+the same way.  The cell executors (:mod:`repro.runx.cells`) arm a fresh
+injector per simulated run and escalate faulted runs to
+:class:`~repro.faults.FaultedRunError`.
 
 Everything is deterministic: timers fire at the rule's ``at_s`` in
 simulated time, and link-fault coin flips come from ``random.Random``
@@ -74,11 +80,6 @@ class FaultInjector:
             self.mpi_timeout_s = DEFAULT_MPI_TIMEOUT_S
         else:
             self.mpi_timeout_s = None
-
-    @classmethod
-    def from_rules(cls, rule_dicts: Sequence[Dict[str, Any]], seed: int = 0,
-                   metrics=None) -> "FaultInjector":
-        return cls(rule_dicts, seed=seed, metrics=metrics)
 
     # -- arming ---------------------------------------------------------------
     def attach(self, cluster) -> "FaultInjector":

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -161,8 +160,3 @@ class FaultPlan:
         if not isinstance(data, list):
             raise ValueError("fault plan must be a JSON list of rules")
         return cls.from_rules(data)
-
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        path = os.environ.get(PLAN_ENV)
-        return cls.load(path) if path else None

@@ -10,13 +10,12 @@ run — same config, same seed, same payload, byte for byte.
 This module memoizes that baseline.  The key is a content digest in the
 style of :meth:`repro.runx.spec.CellSpec.digest` — sha256 over the
 canonical JSON of everything that determines the baseline run — and the
-value is a :class:`BaselineProfile`: the slim, JSON-able projection of a
-baseline :class:`~repro.obs.attr.profile.RunProfile` that
+value is a :class:`BaselineProfile`: the slim projection of a baseline
+:class:`~repro.obs.attr.profile.RunProfile` that
 :func:`~repro.obs.attr.decompose.decompose` actually reads (per-rank
-wait/queue/SMM-wait/stolen/true totals plus the elapsed time).  Because
-the projection preserves every number exactly (ints verbatim; floats
-survive JSON round-trips bit-for-bit), a decomposition against a cached
-baseline is identical to one against a fresh run.
+wait/queue/SMM-wait/stolen/true totals plus the elapsed time).  The
+projection copies every number as is, so a decomposition against a
+cached baseline is identical to one against a fresh run.
 
 Reuse is per process: each process keeps one :func:`global_store`, and
 a persistent :mod:`repro.runx.workproc` worker keeps it across every
@@ -34,7 +33,7 @@ import hashlib
 import json
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "baseline_digest",
@@ -115,31 +114,8 @@ class BaselineProfile:
         }
         return cls(prof.elapsed_app_s, prof.span_ns, ranks)
 
-    def to_record(self) -> Dict[str, Any]:
-        """JSON-able record.  Ints serialize verbatim and floats survive
-        a ``json.dumps``/``loads`` round-trip exactly (repr-based), so
-        ``from_record(to_record())`` reproduces every field bit-for-bit."""
-        return {
-            "elapsed_app_s": self.elapsed_app_s,
-            "span_ns": self.span_ns,
-            "ranks": [
-                [br.rank, br.wait_ns, br.queue_ns, br.smm_wait_ns,
-                 br.stolen_ns, br.true_ns]
-                for br in (self.ranks[r] for r in sorted(self.ranks))
-            ],
-        }
 
-    @classmethod
-    def from_record(cls, rec: Dict[str, Any]) -> "BaselineProfile":
-        ranks = {
-            int(row[0]): BaselineRank(int(row[0]), row[1], row[2], row[3],
-                                      row[4], row[5])
-            for row in rec["ranks"]
-        }
-        return cls(rec.get("elapsed_app_s"), rec["span_ns"], ranks)
-
-
-#: LRU capacity of a baseline store.  Records are slim (a few hundred
+#: LRU capacity of a baseline store.  Profiles are slim (a few hundred
 #: bytes per rank), but a daemon's or fleet agent's worker outlives many
 #: submits, and its store would otherwise grow without bound.
 DEFAULT_BASELINE_CACHE_MAX = 256
@@ -149,48 +125,48 @@ class BaselineStore:
     """Digest-keyed LRU baseline cache with hit/miss/eviction accounting.
 
     Thread-safe: an inline sweep with ``jobs > 1`` runs its cells on
-    threads that share the process's :func:`global_store`.
+    threads that share the process's :func:`global_store`.  It hands out
+    the stored :class:`BaselineProfile` itself, which callers only read.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._records: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._profiles: "OrderedDict[str, BaselineProfile]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._profiles)
 
     def get(self, digest: str) -> Optional[BaselineProfile]:
         """Cached baseline profile, or ``None`` (counted as a miss —
         the caller is about to run the baseline for real)."""
         with self._lock:
-            rec = self._records.get(digest)
-            if rec is None:
+            prof = self._profiles.get(digest)
+            if prof is None:
                 self.misses += 1
                 return None
-            self._records.move_to_end(digest)
+            self._profiles.move_to_end(digest)
             self.hits += 1
-        return BaselineProfile.from_record(rec)
+        return prof
 
     def put(self, digest: str, profile: BaselineProfile) -> None:
         """Record a freshly computed baseline.  Past the cap the
         oldest-touched entry goes; an evicted baseline simply gets
         re-simulated on its next miss."""
-        rec = profile.to_record()
         with self._lock:
-            if digest not in self._records:
-                self._records[digest] = rec
-                while len(self._records) > DEFAULT_BASELINE_CACHE_MAX:
-                    self._records.popitem(last=False)
+            if digest not in self._profiles:
+                self._profiles[digest] = profile
+                while len(self._profiles) > DEFAULT_BASELINE_CACHE_MAX:
+                    self._profiles.popitem(last=False)
                     self.evictions += 1
 
     def stats(self) -> Dict[str, int]:
         with self._lock:
             return {"hits": self.hits, "misses": self.misses,
                     "evictions": self.evictions,
-                    "entries": len(self._records)}
+                    "entries": len(self._profiles)}
 
 
 _global: Optional[BaselineStore] = None

@@ -33,18 +33,18 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
     (the tables' "-"), which is a legitimate result, not a failure.
 
     When the spec carries ``params["faults"]`` (rule dicts injected by the
-    harness's ``--fault-plan`` rewrite) the repetitions run with a fresh
-    seeded :class:`~repro.faults.FaultInjector` each, and a run killed by
-    its faults raises :class:`~repro.faults.FaultedRunError` so the runner
-    records the cell ``failed-in-sim``.
+    harness's ``--fault-plan`` rewrite) each repetition runs armed by
+    :class:`_CellFaults`, as every figure executor's runs do.
 
     When the spec carries ``params["attr"]`` (the harness's ``--attr``
     rewrite) each noisy cell additionally runs the attribution engine and
     attaches the resulting ``attribution`` report to the payload —
-    omitted for infeasible and zero-SMI cells.  The capture layer is
-    passive, so the averaged ``values`` stay bit-identical to a sweep
-    without ``--attr``; see :func:`_nas_cell_attr` for how an attributed
-    sweep shares its zero-SMI work across cells.
+    omitted for infeasible, zero-SMI and faulted cells (a faulted run is
+    not comparable with the clean baseline it would be differenced
+    against).  The capture layer is passive, so the averaged ``values``
+    stay bit-identical to a sweep without ``--attr``; see
+    :func:`_nas_cell_attr` for how an attributed sweep shares its
+    zero-SMI work across cells.
     """
     from repro.apps.nas.params import NasClass
     from repro.apps.nas.study import NasConfig, run_nas_config
@@ -53,18 +53,19 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
         params["bench"], NasClass(params["cls"]), nodes=params["nodes"],
         ranks_per_node=params["rpn"], htt=params.get("htt", False),
     )
-    fault_rules = params.get("faults")
-    if fault_rules:
-        return _nas_cell_faulted(cfg, params, seed, metrics, fault_rules)
-    if params.get("attr"):
+    if params.get("attr") and not params.get("faults"):
         return _nas_cell_attr(cfg, params, seed, metrics)
-    values = run_repeated(
-        lambda s: run_nas_config(cfg, smm=params["smm"], seed=s,
-                                 metrics=metrics),
-        reps=params["reps"],
-        base_seed=seed,
-    )
-    return {"values": values}
+    faults = _CellFaults(params, metrics)
+    reps = params["reps"]
+    values = []
+    for r in range(reps):
+        s = rep_seed(seed, r)
+        v = faults.run(run_nas_config, s, cfg, smm=params["smm"],
+                       label=f"{cfg.label} rep {r + 1}/{reps}: ")
+        if v is None:
+            return {"values": None}
+        values.append(v)
+    return faults.payload({"values": values})
 
 
 def _nas_cell_attr(cfg, params: Dict, seed: int, metrics) -> Dict:
@@ -151,88 +152,68 @@ def _nas_cell_attr(cfg, params: Dict, seed: int, metrics) -> Dict:
     return payload
 
 
-def _nas_cell_faulted(cfg, params: Dict, seed: int, metrics, fault_rules) -> Dict:
-    """The faulted twin of :func:`nas_cell`'s repetition loop: same rep
-    seeds, one injector per repetition (so every rep replays the same plan
-    deterministically), typed escalation to ``failed-in-sim``."""
-    from repro.apps.nas.study import run_nas_config
-    from repro.faults import FaultedRunError, FaultInjector
-    from repro.mpi.errors import MpiError
+class _CellFaults:
+    """A cell's ``params["faults"]``, armed on every simulated run it makes.
 
-    values = []
-    events: list = []
-    suppressed = 0
-    for r in range(params["reps"]):
-        s = rep_seed(seed, r)
-        inj = FaultInjector.from_rules(fault_rules, seed=s, metrics=metrics)
+    :meth:`run` calls ``runner(*args, seed=, metrics=, faults=, **kwargs)``
+    with a fresh :class:`~repro.faults.FaultInjector` seeded by that run's
+    seed (``None`` for a clean cell), so each run replays the plan exactly
+    as a standalone run with the same seed would.  :meth:`payload` adds
+    the ``fault_events`` (and ``fault_suppressed`` count) of all runs.
+
+    Escalation: a run is *faulted* — :class:`~repro.faults.FaultedRunError`,
+    recorded ``failed-in-sim`` and never retried — when its own faults
+    fired and it raised a model error (:class:`~repro.mpi.errors.MpiError`,
+    ``AssertionError``, ``RuntimeError``, or the
+    :class:`~repro.simx.errors.SimulationError` a failed node throws into
+    its tasks), or when it returned although a crash/hang fired (crashed
+    tasks still end, so a dead node can look "finished").  Any other
+    exception, or one raised before a fault fired, stays a retryable bug.
+    """
+
+    def __init__(self, params: Dict, metrics) -> None:
+        self.rules = params.get("faults")
+        self.metrics = metrics
+        self.events: List[Dict[str, Any]] = []
+        self.suppressed = 0
+
+    def run(self, runner: Callable, seed: int, *args: Any, label: str = "",
+            **kwargs: Any) -> Any:
+        if not self.rules:
+            return runner(*args, seed=seed, metrics=self.metrics,
+                          faults=None, **kwargs)
+        from repro.faults import FaultedRunError, FaultInjector
+        from repro.mpi.errors import MpiError
+        from repro.simx.errors import SimulationError
+
+        inj = FaultInjector(self.rules, seed=seed, metrics=self.metrics)
         try:
-            v = run_nas_config(cfg, smm=params["smm"], seed=s,
-                               metrics=metrics, faults=inj)
-        except (MpiError, AssertionError, RuntimeError) as exc:
-            events.extend(inj.events)
-            suppressed += inj.suppressed
-            if events:
-                raise FaultedRunError(
-                    f"{cfg.label} rep {r + 1}/{params['reps']}: "
-                    f"{type(exc).__name__}: {exc}",
-                    events=events,
-                ) from exc
-            raise  # a real bug, not an injected fault: let retries happen
-        events.extend(inj.events)
-        suppressed += inj.suppressed
+            result = runner(*args, seed=seed, metrics=self.metrics,
+                            faults=inj, **kwargs)
+        except (MpiError, AssertionError, RuntimeError,
+                SimulationError) as exc:
+            self._collect(inj)
+            if not inj.events:
+                raise  # a real bug, not an injected fault: let retries happen
+            raise FaultedRunError(f"{label}{type(exc).__name__}: {exc}",
+                                  events=self.events) from exc
+        self._collect(inj)
         if inj.fatal:
-            # A crash/hang fired yet the run returned — e.g. every rank
-            # finished before the fault landed.  Treat it as faulted
-            # anyway: the cell's value is not comparable to clean cells.
             raise FaultedRunError(
-                f"{cfg.label} rep {r + 1}/{params['reps']}: fatal fault "
-                "fired during run", events=events)
-        if v is None:
-            return {"values": None}
-        values.append(v)
-    payload: Dict[str, Any] = {"values": values}
-    if events:
-        payload["fault_events"] = events
-        if suppressed:
-            payload["fault_suppressed"] = suppressed
-    return payload
-
-
-def _faulted_machine_runner(fault_rules, seed: int, metrics):
-    """Single-machine fault shim for the figure cells: returns
-    ``(call, events)`` where ``call(run)`` executes ``run(machine)`` on a
-    fresh fault-armed machine and escalates fault-killed runs to
-    :class:`~repro.faults.FaultedRunError`.  A fresh machine/injector pair
-    per call keeps each sub-run's fault timing identical to a standalone
-    run with the same seed."""
-    from repro.faults import FaultedRunError, FaultInjector
-    from repro.machine.topology import R410_SPEC
-    from repro.system import make_machine
-
-    events: list = []
-
-    def call(run):
-        inj = FaultInjector.from_rules(fault_rules, seed=seed, metrics=metrics)
-        machine = make_machine(R410_SPEC, seed=seed, metrics=metrics)
-        inj.attach_node(machine.node)
-        try:
-            result = run(machine)
-        except Exception as exc:
-            events.extend(inj.events)
-            if inj.events:
-                raise FaultedRunError(
-                    f"{type(exc).__name__}: {exc}", events=events) from exc
-            raise
-        events.extend(inj.events)
-        if inj.fatal:
-            # Crashed workers still fire their done callbacks, so a dead
-            # node can look "finished" — the injector's log is the truth.
-            raise FaultedRunError(
-                "fatal fault (node crash/hang) fired during run",
-                events=events)
+                f"{label}fatal fault (node crash/hang) fired during run",
+                events=self.events)
         return result
 
-    return call, events
+    def _collect(self, inj) -> None:
+        self.events.extend(inj.events)
+        self.suppressed += inj.suppressed
+
+    def payload(self, out: Dict[str, Any]) -> Dict[str, Any]:
+        if self.events:
+            out["fault_events"] = self.events
+            if self.suppressed:
+                out["fault_suppressed"] = self.suppressed
+        return out
 
 
 def convolve_line_cell(params: Dict, seed: int, metrics=None) -> Dict:
@@ -243,31 +224,15 @@ def convolve_line_cell(params: Dict, seed: int, metrics=None) -> Dict:
 
     config = _convolve_config(params["config"])
     k = params["cpus"]
-    fault_rules = params.get("faults")
-    if fault_rules:
-        call, events = _faulted_machine_runner(fault_rules, seed, metrics)
-        baseline = call(lambda m: run_convolve(
-            config, k, seed=seed, metrics=metrics, machine=m)).elapsed_s
-        points = []
-        for iv in params["intervals_ms"]:
-            r = call(lambda m, iv=iv: run_convolve(
-                config, k, smi_durations=SmiProfile.LONG,
-                smi_interval_jiffies=iv, seed=seed, metrics=metrics,
-                machine=m))
-            points.append([iv, r.elapsed_s])
-        out: Dict[str, Any] = {"baseline": baseline, "points": points}
-        if events:
-            out["fault_events"] = events
-        return out
-    baseline = run_convolve(config, k, seed=seed, metrics=metrics).elapsed_s
-    points = []
-    for iv in params["intervals_ms"]:
-        r = run_convolve(
-            config, k, smi_durations=SmiProfile.LONG,
-            smi_interval_jiffies=iv, seed=seed, metrics=metrics,
-        )
-        points.append([iv, r.elapsed_s])
-    return {"baseline": baseline, "points": points}
+    faults = _CellFaults(params, metrics)
+    baseline = faults.run(run_convolve, seed, config, k).elapsed_s
+    points = [
+        [iv, faults.run(run_convolve, seed, config, k,
+                        smi_durations=SmiProfile.LONG,
+                        smi_interval_jiffies=iv).elapsed_s]
+        for iv in params["intervals_ms"]
+    ]
+    return faults.payload({"baseline": baseline, "points": points})
 
 
 def convolve_run_cell(params: Dict, seed: int, metrics=None) -> Dict:
@@ -276,29 +241,15 @@ def convolve_run_cell(params: Dict, seed: int, metrics=None) -> Dict:
     from repro.core.smi import SmiProfile
 
     config = _convolve_config(params["config"])
-    fault_rules = params.get("faults")
-    if fault_rules:
-        call, events = _faulted_machine_runner(fault_rules, seed, metrics)
-        points = []
-        for k in params["cpus"]:
-            r = call(lambda m, k=k: run_convolve(
-                config, k, smi_durations=SmiProfile.LONG,
-                smi_interval_jiffies=params.get("interval_ms", 50),
-                seed=seed, metrics=metrics, machine=m))
-            points.append([k, r.elapsed_s])
-        out: Dict[str, Any] = {"points": points}
-        if events:
-            out["fault_events"] = events
-        return out
-    points = []
-    for k in params["cpus"]:
-        r = run_convolve(
-            config, k, smi_durations=SmiProfile.LONG,
-            smi_interval_jiffies=params.get("interval_ms", 50),
-            seed=seed, metrics=metrics,
-        )
-        points.append([k, r.elapsed_s])
-    return {"points": points}
+    faults = _CellFaults(params, metrics)
+    points = [
+        [k, faults.run(run_convolve, seed, config, k,
+                       smi_durations=SmiProfile.LONG,
+                       smi_interval_jiffies=params.get("interval_ms", 50),
+                       ).elapsed_s]
+        for k in params["cpus"]
+    ]
+    return faults.payload({"points": points})
 
 
 def unixbench_cell(params: Dict, seed: int, metrics=None) -> Dict:
@@ -308,33 +259,17 @@ def unixbench_cell(params: Dict, seed: int, metrics=None) -> Dict:
     from repro.core.smi import SmiProfile
 
     k = params["cpus"]
-    fault_rules = params.get("faults")
-    if fault_rules:
-        call, events = _faulted_machine_runner(fault_rules, seed, metrics)
-        baseline = call(lambda m: run_unixbench(
-            k, seed=seed, metrics=metrics, machine=m)).total_index
-        short = call(lambda m: run_unixbench(
-            k, SmiProfile.SHORT, 100, seed=seed, metrics=metrics,
-            machine=m)).total_index
-        points = []
-        for iv in params["intervals_ms"]:
-            r = call(lambda m, iv=iv: run_unixbench(
-                k, SmiProfile.LONG, iv, seed=seed, metrics=metrics,
-                machine=m))
-            points.append([iv, r.total_index])
-        out: Dict[str, Any] = {
-            "baseline": baseline, "short_at_100ms": short, "points": points}
-        if events:
-            out["fault_events"] = events
-        return out
-    baseline = run_unixbench(k, seed=seed, metrics=metrics).total_index
-    short = run_unixbench(
-        k, SmiProfile.SHORT, 100, seed=seed, metrics=metrics).total_index
-    points = []
-    for iv in params["intervals_ms"]:
-        r = run_unixbench(k, SmiProfile.LONG, iv, seed=seed, metrics=metrics)
-        points.append([iv, r.total_index])
-    return {"baseline": baseline, "short_at_100ms": short, "points": points}
+    faults = _CellFaults(params, metrics)
+    baseline = faults.run(run_unixbench, seed, k).total_index
+    short = faults.run(run_unixbench, seed, k, SmiProfile.SHORT,
+                       100).total_index
+    points = [
+        [iv, faults.run(run_unixbench, seed, k, SmiProfile.LONG,
+                        iv).total_index]
+        for iv in params["intervals_ms"]
+    ]
+    return faults.payload(
+        {"baseline": baseline, "short_at_100ms": short, "points": points})
 
 
 def synthetic_cell(params: Dict, seed: int, metrics=None) -> Dict:

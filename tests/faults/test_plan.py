@@ -67,14 +67,29 @@ def test_load_rejects_non_list(tmp_path):
         FaultPlan.load(str(path))
 
 
-def test_from_env(tmp_path, monkeypatch):
-    monkeypatch.delenv(PLAN_ENV, raising=False)
-    assert FaultPlan.from_env() is None
-    path = tmp_path / "plan.json"
-    FaultPlan([FaultRule(fault="clock_skew")]).write(str(path))
-    monkeypatch.setenv(PLAN_ENV, str(path))
-    plan = FaultPlan.from_env()
-    assert plan is not None and plan.rules[0].fault == "clock_skew"
+def test_cli_env_plan_arms_cells_and_flag_overrides_it(
+        tmp_path, monkeypatch, capsys):
+    from repro.cli import main
+
+    # Both plans match cells but cannot fire: node 99 does not exist.
+    env_plan = tmp_path / "env.json"
+    FaultPlan([FaultRule(fault="node_crash", node=99),
+               FaultRule(fault="clock_skew", node=99)]).write(str(env_plan))
+    flag_plan = tmp_path / "flag.json"
+    FaultPlan([FaultRule(fault="node_crash", match="*smm=0",
+                         node=99)]).write(str(flag_plan))
+    monkeypatch.setenv(PLAN_ENV, str(env_plan))
+    monkeypatch.chdir(tmp_path)
+
+    assert main(["table2", "--quick", "--jobs", "1"]) == 0
+    err = capsys.readouterr().err
+    assert f"fault plan {env_plan}: 2 rules, 30/30 cells armed" in err
+
+    assert main(["table2", "--quick", "--jobs", "1",
+                 "--fault-plan", str(flag_plan)]) == 0
+    err = capsys.readouterr().err
+    assert f"fault plan {flag_plan}: 1 rules, 10/30 cells armed" in err
+    assert str(env_plan) not in err
 
 
 def test_link_record_omits_node_fields():

@@ -3,8 +3,8 @@
 Two groups:
 
 * Store semantics — repeated lookups of one (app, class, topology, seed)
-  key serve the identical record bytes, and a store never serves one
-  seed's baseline for another seed's lookup.
+  key serve the identical profile, field for field, and a store never
+  serves one seed's baseline for another seed's lookup.
 
 * The determinism invariant the sweep-level sharing leans on — a
   zero-SMI run is bit-identical across seeds and SMI intervals (the RNG
@@ -24,6 +24,7 @@ from repro.obs import MetricsRegistry
 from repro.obs.attr import AttrCapture, attribute_cell, build_profile
 from repro.obs.attr.baseline import (
     BaselineProfile,
+    BaselineRank,
     BaselineStore,
     baseline_digest,
     global_store,
@@ -33,13 +34,20 @@ from repro.simx.timeline import Timeline
 
 
 def _profile(elapsed=1.25, span=1_250_000_000):
-    ranks = {0: (0, 10, 20, 30, 40.5, 50.25), 1: (1, 11, 21, 31, 41.5, 51.25)}
-    rec = {
-        "elapsed_app_s": elapsed,
-        "span_ns": span,
-        "ranks": [list(v) for _, v in sorted(ranks.items())],
-    }
-    return BaselineProfile.from_record(rec)
+    ranks = {r: BaselineRank(r, 10 + r, 20 + r, 30 + r, 40.5 + r, 50.25 + r)
+             for r in (0, 1)}
+    return BaselineProfile(elapsed, span, ranks)
+
+
+_RANK_FIELDS = ("rank", "wait_ns", "queue_ns", "smm_wait_ns", "stolen_ns",
+                "true_ns")
+
+
+def _fields(prof):
+    """Every number a baseline profile carries, for exact comparison."""
+    return (prof.elapsed_app_s, prof.span_ns,
+            {r: tuple(getattr(br, f) for f in _RANK_FIELDS)
+             for r, br in prof.ranks.items()})
 
 
 # -- digest keying ------------------------------------------------------------
@@ -73,10 +81,7 @@ def test_repeated_get_serves_identical_bytes():
     a = store.get(digest)
     b = store.get(digest)
     assert a is not None and b is not None
-    blob_a = json.dumps(a.to_record(), sort_keys=True)
-    blob_b = json.dumps(b.to_record(), sort_keys=True)
-    assert blob_a == blob_b == json.dumps(
-        _profile().to_record(), sort_keys=True)
+    assert _fields(a) == _fields(b) == _fields(_profile())
     assert store.stats() == {"hits": 2, "misses": 0, "evictions": 0, "entries": 1}
 
 
@@ -92,16 +97,15 @@ def test_store_never_crosses_seeds():
     assert store.stats() == {"hits": 1, "misses": 1, "evictions": 0, "entries": 1}
 
 
-def test_record_round_trip_is_exact():
+def test_store_round_trip_is_exact():
     p = _profile(elapsed=0.1 + 0.2, span=3)  # 0.30000000000000004
-    q = BaselineProfile.from_record(
-        json.loads(json.dumps(p.to_record())))
+    store = BaselineStore()
+    digest = baseline_digest("EP", "A", 2, 1, False, 1)
+    store.put(digest, p)
+    q = store.get(digest)
+    assert q is not None
     assert q.elapsed_app_s == p.elapsed_app_s  # bit-exact, not approx
-    assert q.span_ns == p.span_ns
-    for r in p.ranks:
-        for f in ("wait_ns", "queue_ns", "smm_wait_ns", "stolen_ns",
-                  "true_ns"):
-            assert getattr(q.ranks[r], f) == getattr(p.ranks[r], f)
+    assert _fields(q) == _fields(p)
 
 
 def test_reset_global_store_replaces_instance():
@@ -119,8 +123,7 @@ def _baseline_record(seed, interval):
     elapsed = run_nas_config(cfg, smm=0, seed=seed,
                              interval_jiffies=interval,
                              timeline=Timeline(), attr=cap)
-    rec = BaselineProfile.from_profile(build_profile(cap)).to_record()
-    return elapsed, rec
+    return elapsed, _fields(BaselineProfile.from_profile(build_profile(cap)))
 
 
 def test_zero_smi_baseline_is_seed_and_interval_invariant():
@@ -130,7 +133,7 @@ def test_zero_smi_baseline_is_seed_and_interval_invariant():
     e1, r1 = _baseline_record(seed=1, interval=1000)
     e2, r2 = _baseline_record(seed=424243, interval=500)
     assert e1 == e2
-    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+    assert r1 == r2
 
 
 def test_memoized_baseline_reproduces_fresh_report_exactly():
