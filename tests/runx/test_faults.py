@@ -160,3 +160,18 @@ def test_with_faults_rewrites_only_matching_specs():
     assert out[1] is specs[1]  # untouched specs pass through identically
     # The rewrite must change the digest: faulted work is different work.
     assert out[0].digest() != specs[0].digest()
+
+
+def test_faulted_nas_cell_carries_no_attribution():
+    """``--attr`` and ``--fault-plan`` together: the faulted cell keeps its
+    fault events and gets no ``attribution`` block (a faulted run is not
+    comparable with the clean baseline it would be differenced against)."""
+    from repro.runx.cells import run_cell
+
+    params = {"bench": "EP", "cls": "A", "nodes": 2, "rpn": 1, "smm": 2,
+              "reps": 1, "attr": True}
+    assert "attribution" in run_cell("nas", params, 5)
+    faulted = run_cell("nas", {**params, "faults": [
+        {"fault": "cpu_degrade", "node": 0, "cpu": 0, "at_s": 0.05}]}, 5)
+    assert "attribution" not in faulted
+    assert faulted["fault_events"][0]["fault"] == "cpu_degrade"
