@@ -91,7 +91,7 @@ def start_daemon(work, state, workers, port, **flags):
 def start_agent(work, name, port, **flags):
     args = [sys.executable, "-m", "repro.cli", "worker",
             "--connect", f"127.0.0.1:{port}", "--name", name,
-            "--hb", "0.3", "--backoff", "0.2", "--max-backoff", "2.0"]
+            "--backoff", "0.2", "--max-backoff", "2.0"]
     for flag, value in flags.items():
         args += [f"--{flag.replace('_', '-')}", str(value)]
     log = open(os.path.join(work, f"agent-{name}.log"), "ab")

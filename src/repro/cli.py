@@ -14,12 +14,14 @@ Subcommands regenerate the paper's artifacts or run the tools:
 * ``detect`` — run the hwlat-style gap detector on the *host*.
 * ``calibrate`` — print the calibration derivation.
 * ``serve`` — run the sweep-serving daemon (`repro.serve`): durable job
-  queue, supervised worker pool, content-addressed result cache, and
-  a lease/fencing scheduler admitting remote workers over TCP.
+  queue, content-addressed result cache, and one lease/fencing
+  scheduler for every worker — ``--workers N`` agents in the daemon
+  itself and remote agents over TCP alike.
   ``serve clear-quarantine`` is the operator action that forgets every
   circuit-broken cell (live via the socket, or offline).
 * ``worker`` — run a remote worker agent (``--connect HOST:PORT``) that
-  pulls leased cells from a daemon and survives daemon restarts.
+  pulls leased cells from a daemon and survives daemon restarts; its
+  heartbeat period, watchdog and silence limit come from the daemon.
 * ``submit`` — send a table/figure sweep to a running daemon and render
   the result (repeat submissions are served from cache).
 * ``status`` — query a running daemon (queue depth, workers, fleet
@@ -692,8 +694,6 @@ def _worker(args: argparse.Namespace) -> int:
     return run(AgentConfig(
         connect=args.connect,
         name=args.name or "",
-        hb_s=args.hb,
-        child_hb_timeout_s=args.child_hb_timeout,
         backoff_s=args.backoff,
         max_backoff_s=args.max_backoff,
     ))
@@ -970,8 +970,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(fn=_calibrate)
     p = sub.add_parser(
         "serve",
-        help="run the sweep-serving daemon (durable queue, worker pool, "
-             "remote worker fleet, content-addressed result cache)")
+        help="run the sweep-serving daemon (durable queue, local and "
+             "remote worker agents, content-addressed result cache)")
     p.add_argument("action", nargs="?", default="run",
                    choices=("run", "clear-quarantine"),
                    help="'run' (default) starts the daemon; "
@@ -985,12 +985,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                    metavar="HOST:PORT",
                    help="also listen on TCP (required for remote workers)")
     p.add_argument("--workers", type=int, default=2,
-                   help="local pool size; 0 runs a pure-fleet daemon "
-                        "served only by remote workers")
+                   help="worker agents run inside the daemon, leasing "
+                        "cells over its unix socket like remote agents; "
+                        "0 runs a pure-fleet daemon")
     p.add_argument("--timeout", type=_positive_float, default=300.0,
                    help="per-cell watchdog deadline in seconds")
     p.add_argument("--hb-timeout", type=_positive_float, default=10.0,
-                   help="kill a worker whose heartbeats stop for this long")
+                   help="kill a worker whose heartbeats stop for this "
+                        "long; sent to every agent, local or remote, "
+                        "with each lease")
     p.add_argument("--max-attempts", type=int, default=3,
                    help="quarantine a cell after this many failed attempts")
     p.add_argument("--max-pending", type=int, default=256,
@@ -1007,11 +1010,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                    metavar="HOST:PORT", help="the daemon's TCP endpoint")
     p.add_argument("--name", default=None,
                    help="worker name in status output (default: hostname)")
-    p.add_argument("--hb", type=_positive_float, default=1.0,
-                   help="seconds between lease heartbeats")
-    p.add_argument("--child-hb-timeout", type=_positive_float, default=10.0,
-                   help="kill the cell subprocess if it goes silent for "
-                        "this long")
     p.add_argument("--backoff", type=_positive_float, default=0.5,
                    help="base reconnect backoff in seconds")
     p.add_argument("--max-backoff", type=_positive_float, default=15.0,

@@ -2,11 +2,11 @@
 
 A :class:`WorkerChild` is one long-lived worker subprocess plus two
 reader threads (result lines on stdout, a bounded stderr tail).  The
-sweep runner keeps one per runner thread, the fleet agent one per
-agent, and the serve daemon's pool one per slot, driven from that
-slot's executor thread.  So there is one worker implementation, one
-protocol, one set of chaos hooks and one copy of the failure handling,
-and cells are byte-identical wherever they run.
+sweep runner keeps one per runner thread, and each serve worker agent
+— remote, or one of the daemon's ``--workers`` threads — one of its
+own.  So there is one worker implementation, one protocol, one set of
+chaos hooks and one copy of the failure handling, and cells are
+byte-identical wherever they run.
 
 The failure contract: :meth:`WorkerChild.wait_result` returns the result
 record of the job in flight, or raises :class:`WorkerFailed` after

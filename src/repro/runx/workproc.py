@@ -2,7 +2,7 @@
 
 One worker runs many cells: its supervisor,
 :class:`repro.runx.supervisor.WorkerChild` — driven by the sweep
-runner, the fleet agent and the serve daemon's pool alike — pays
+runner and by every serve worker agent, local or remote — pays
 interpreter start-up and the executor imports once per (re)spawn, not
 once per cell.  The protocol is line-delimited JSON:
 
@@ -22,9 +22,11 @@ alone.
 Heartbeats let a supervisor tell a frozen interpreter from a slow cell.
 EOF on stdin is the shutdown signal: the worker exits 0.
 
-Chaos composes per job: each job consults ``$REPRO_CHAOS_PLAN`` before
-executing, so the kill/hang/corrupt/flake drills that prove the runner
-prove the daemon and the fleet too.  A fault that kills or wedges the
+Chaos composes per job: the worker loads ``$REPRO_CHAOS_PLAN`` once at
+boot, and each job consults that plan before executing, so the
+kill/hang/corrupt/flake drills that prove the runner prove the daemon
+and the fleet too.  A plan file rewritten later reaches only workers
+booted after the rewrite.  A fault that kills or wedges the
 process is *supposed* to — surviving that is the supervisor's job.
 
 This module must stay off the ``repro.runx`` package's import chain
@@ -41,7 +43,10 @@ import signal
 import sys
 import threading
 import traceback
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
+
+if TYPE_CHECKING:
+    from repro.runx.chaos import FaultPlan
 
 __all__ = ["HEARTBEAT_S", "main"]
 
@@ -99,11 +104,12 @@ def _baseline_stats() -> tuple:
     return store.hits, store.misses
 
 
-def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
+def _run_job(req: Dict[str, Any], emitter: _Emitter,
+             plan: Optional[FaultPlan]) -> None:
     from repro.faults import FaultedRunError
     from repro.obs.metrics import MetricsRegistry
     from repro.runx.cells import run_cell
-    from repro.runx.chaos import FaultPlan, apply_fault
+    from repro.runx.chaos import apply_fault
 
     job_id = req.get("id", "?")
     spec = req.get("spec") or {}
@@ -116,7 +122,6 @@ def _run_job(req: Dict[str, Any], emitter: _Emitter) -> None:
                       "error": f"bad job request: {exc}"})
         return
 
-    plan = FaultPlan.from_env()
     if plan is not None:
         rule = plan.fault_for(spec.get("id", job_id), attempt)
         if rule is not None:
@@ -154,7 +159,9 @@ def main() -> int:
     import repro.faults  # noqa: F401
     import repro.obs.metrics  # noqa: F401
     import repro.runx.cells  # noqa: F401
-    import repro.runx.chaos  # noqa: F401
+    from repro.runx.chaos import FaultPlan
+
+    plan = FaultPlan.from_env()
 
     # Everything imported so far lives as long as the worker: move it
     # out of the collector's generations, so the per-job collection
@@ -186,7 +193,7 @@ def main() -> int:
             continue
         active["id"] = str(req.get("id", "?"))
         try:
-            _run_job(req, emitter)
+            _run_job(req, emitter, plan)
         finally:
             active["id"] = None
         # A cell leaves nothing live behind, but its peak stays in the

@@ -19,25 +19,26 @@ headline feature:
 * :mod:`repro.serve.queue` — a durable fsync'd job journal in the
   `repro.runx.journal` record format: ``kill -9`` of the daemon loses no
   accepted job, and a restart replays exactly the unfinished work;
-* :mod:`repro.serve.pool` — asyncio slots over the queue, each driving
-  one persistent :mod:`repro.runx.workproc` worker from a thread through
-  :class:`repro.runx.supervisor.WorkerChild`, the supervisor the sweep
-  runner and the fleet agent also use (heartbeat monitoring, per-cell
-  watchdog timeouts), with bounded exponential-backoff restarts;
 * :mod:`repro.serve.daemon` — the daemon itself: in-flight request
-  coalescing, a circuit breaker that quarantines poisoned cells instead
-  of crash-looping the pool, bounded queues, graceful drain on SIGTERM;
+  coalescing, long-polled leases, a circuit breaker that quarantines
+  poisoned cells instead of crash-looping the workers, bounded queues,
+  graceful drain on SIGTERM, and ``--workers N`` in-process agents;
 * :mod:`repro.serve.client` — the blocking client the CLI
   (``repro-smm serve | submit | status``) and tests use, with
   decorrelated-jitter retry honoring the server's ``retry_after``;
-* :mod:`repro.serve.fleet` — daemon-side multi-host scheduling: cells
-  leased to remote workers under monotonic-clock deadlines and
-  **fencing tokens**, so heartbeat loss re-grants work and a zombie's
+* :mod:`repro.serve.fleet` — daemon-side scheduling: every cell is
+  leased to a worker agent under a monotonic-clock deadline and a
+  **fencing token**, so heartbeat loss re-grants work and a zombie's
   stale result can never be committed twice;
-* :mod:`repro.serve.agent` — the remote worker
-  (``repro-smm worker --connect HOST:PORT``) that dials the daemon,
-  pulls leases, runs them in a supervised workproc child, and
-  reconnects with bounded decorrelated-jitter backoff.
+* :mod:`repro.serve.agent` — the worker agent, the package's one driver
+  of a :mod:`repro.runx.workproc` child (through
+  :class:`repro.runx.supervisor.WorkerChild`, the supervisor the sweep
+  runner also uses: heartbeat monitoring, per-cell watchdog timeouts).
+  It runs remotely (``repro-smm worker --connect HOST:PORT``) or as one
+  of the daemon's ``--workers N`` threads over its unix socket, leases
+  cells, respawns a dead child with bounded backoff, and reconnects
+  with bounded decorrelated-jitter backoff.  Watchdog kills, heartbeat
+  losses, restarts and garbled lines are counted the same for both.
 """
 
 from repro.serve.agent import AgentConfig, WorkerAgent

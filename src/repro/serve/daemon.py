@@ -1,20 +1,20 @@
 """The sweep-serving daemon: accept, dedup, shard, cache, survive.
 
 ``ServeDaemon`` is the long-lived composition of the package's parts:
-an asyncio server (unix socket + optional TCP) feeding a supervised
-worker pool through a durable queue, with a content-addressed cache in
-front.  The life of a submitted cell:
+an asyncio server (unix socket + optional TCP) whose worker agents lease
+cells from a durable queue, with a content-addressed cache in front.
+The life of a submitted cell:
 
 1. **Quarantine check** — a digest the circuit breaker has tripped on
-   answers immediately with its quarantine record; it never reaches the
-   pool again until the operator clears the state directory.
+   answers immediately with its quarantine record; it never reaches a
+   worker again until the operator clears the quarantine.
 2. **Cache probe** — a verified cache entry answers immediately
    (``cached: true``); corruption is evicted and falls through to 4.
 3. **Coalesce** — if the digest is already in flight, the submission
    becomes one more waiter on the existing job (``coalesced: true``):
    a thousand identical requests cost one simulation.
 4. **Accept** — the job is fsync'd to the durable queue *before* the
-   client hears "accepted", then enqueued to the pool.  If accepting
+   client hears "accepted", then enqueued for the agents.  If accepting
    would push outstanding work past ``max_pending``, the whole submit
    is refused with ``saturated`` + ``retry_after`` instead (bounded
    queues: the daemon sheds load, it does not fall over).
@@ -23,12 +23,12 @@ Results flow back through :meth:`_on_result`: success writes the cache
 entry, then the ``done`` record (write-then-ack: a crash between the
 two replays the job, finds the cache entry, and completes it without
 recompute — at-least-once execution, exactly-once effect).  An
-infrastructure failure (worker death, watchdog, lost heartbeat)
-requeues the attempt with the *same seed* — cells are deterministic, so
-a retried kill is byte-identical to an uninterrupted run.  A cell that
-keeps poisoning workers trips the circuit breaker after
-``max_attempts`` and is durably quarantined rather than allowed to
-crash-loop the pool.
+infrastructure failure (worker death, watchdog, lost heartbeat, lost
+lease) requeues the attempt with the *same seed* — cells are
+deterministic, so a retried kill is byte-identical to an uninterrupted
+run.  A cell that keeps poisoning workers trips the circuit breaker
+after ``max_attempts`` and is durably quarantined rather than allowed
+to crash-loop the workers.
 
 ``kill -9`` of the daemon is a designed-for event, not an error path:
 the lock dies with the process, the next boot replays the queue journal,
@@ -36,19 +36,22 @@ completes anything the cache already holds, and re-runs the rest.
 SIGTERM instead drains gracefully: stop accepting, finish in-flight
 work, compact the journal, release everything.
 
-Remote workers (:mod:`repro.serve.agent`) are admitted over the same
-listeners through the fleet ops (``worker-hello`` / ``lease-request`` /
-``worker-heartbeat`` / ``worker-result``) and compete with the local
-pool for the same queue — local slots take precedence when idle, remote
-agents absorb the overflow, and with zero agents connected the daemon
-degrades to exactly the single-host pool with no configuration change
-(``--workers 0`` runs a pure-fleet daemon).  :mod:`repro.serve.fleet`
-owns the lease table and fencing tokens; this module routes expired
-leases and fenced results through the same retry/quarantine accounting
-a local worker death takes, so a cell's observable fate is identical
-wherever it ran.  During a SIGTERM drain leases keep being granted and
-renewed — accepted work is finished by whoever holds capacity — while
-new submits are refused.
+There is one dispatch path.  Every cell runs on a worker agent
+(:mod:`repro.serve.agent`) under a lease, through the fleet ops
+(``worker-hello`` / ``lease-request`` / ``worker-heartbeat`` /
+``worker-result``).  ``--workers N`` starts N agents as threads in this
+process that dial its own unix socket; remote agents dial the TCP
+listener (``--workers 0`` runs a pure-fleet daemon).  A
+``lease-request`` parks on the queue for up to :data:`LEASE_POLL_S`, so
+every waiting agent, local or remote, is one FIFO of parked requests and
+a fresh cell is picked up at once.  :mod:`repro.serve.fleet` owns the
+lease table and fencing tokens; this module routes worker deaths,
+expired leases and dropped connections through one retry/quarantine
+accounting, and counts watchdog kills, heartbeat losses, restarts,
+spawns and garbled lines from what every agent reports, so a cell's
+observable fate is identical wherever it ran.  During a SIGTERM drain
+leases keep being granted and renewed — accepted work is finished by
+whoever holds capacity — while new submits are refused.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ import os
 import signal
 import socket
 import sys
+import threading
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.runx.cells import dispatch_order
@@ -69,14 +73,21 @@ from repro.runx.journal import JournalWriteError
 from repro.runx.lock import SingleWriterLock
 from repro.runx.spec import CellSpec
 from repro.serve import protocol
+from repro.serve.agent import AgentConfig, WorkerAgent
 from repro.serve.cache import ResultCache
-from repro.serve.fleet import FleetScheduler
-from repro.serve.pool import Outcome, WorkOrder, WorkerPool
+from repro.serve.fleet import FleetScheduler, WorkOrder
 from repro.serve.queue import DurableQueue, QueueState
 
 __all__ = ["ServeConfig", "ServeDaemon", "run"]
 
 log = logging.getLogger(__name__)
+
+#: Crude per-cell cost estimate behind saturation ``retry_after`` hints.
+EST_CELL_S = 2.0
+
+#: How long a ``lease-request`` waits on an empty queue before it
+#: answers "no lease" (well under an agent's 30 s socket timeout).
+LEASE_POLL_S = 1.0
 
 
 @dataclass
@@ -86,17 +97,17 @@ class ServeConfig:
     state_dir: str = "serve-state"
     socket_path: Optional[str] = None  # default: <state_dir>/serve.sock
     tcp: Optional[Tuple[str, int]] = None
-    #: local pool size; 0 runs a pure-fleet daemon (remote workers only).
+    #: in-process worker agents; 0 runs a pure-fleet daemon (remote
+    #: agents only).
     workers: int = 2
+    #: per-cell watchdog and child-silence limit, sent with every lease.
     timeout_s: Optional[float] = 300.0
     hb_timeout_s: float = 10.0
     max_attempts: int = 3
     max_pending: int = 256
-    #: revoke a remote lease after this long without a heartbeat
-    #: (monotonic clock; must comfortably exceed the agent's hb_s).
+    #: revoke a lease after this long without a heartbeat (monotonic
+    #: clock; agents beat every lease_s / 5).
     lease_s: float = 15.0
-    #: crude per-cell cost estimate behind ``retry_after`` hints.
-    est_cell_s: float = 2.0
 
     def resolved_socket(self) -> str:
         return self.socket_path or os.path.join(self.state_dir, "serve.sock")
@@ -126,8 +137,12 @@ class ServeDaemon:
             os.path.join(config.state_dir, "daemon.lock"))
         self.cache: Optional[ResultCache] = None
         self.queue_journal: Optional[DurableQueue] = None
-        self.pool: Optional[WorkerPool] = None
         self.fleet: Optional[FleetScheduler] = None
+        #: the in-process agents and the threads that run them.
+        self._agents: List[WorkerAgent] = []
+        self._agent_threads: List[threading.Thread] = []
+        #: connection tasks parked in a lease-request long-poll.
+        self._parked: Set[asyncio.Task] = set()
         self._lease_reaper_task: Optional[asyncio.Task] = None
         self._jobs_q: "asyncio.Queue[WorkOrder]" = asyncio.Queue()
         self._inflight: Dict[str, _Job] = {}
@@ -149,7 +164,7 @@ class ServeDaemon:
             "serve.jobs.failed", "jobs terminally failed (e.g. in-sim)")
         self._c_quarantined = m.counter(
             "serve.jobs.quarantined", "jobs circuit-broken after "
-            "poisoning the pool repeatedly")
+            "poisoning workers repeatedly")
         self._c_requeued = m.counter(
             "serve.jobs.requeued", "attempts requeued after an "
             "infrastructure failure")
@@ -173,8 +188,20 @@ class ServeDaemon:
         self._c_q_cleared = m.counter(
             "serve.quarantine.cleared", "quarantined cells forgotten by "
             "the clear-quarantine operator op")
-        # The sums of the per-job baseline_stats that pool and fleet
-        # workers report; the stores themselves stay in the workers.
+        # What agents, local and remote alike, report about their
+        # worker children (lease-request and worker-result fields).
+        self._c_spawned = m.counter(
+            "serve.workers.spawned", "worker subprocesses started")
+        self._c_restarts = m.counter(
+            "serve.workers.restarts", "workers respawned after dying")
+        self._c_timeouts = m.counter(
+            "serve.jobs.timeouts", "attempts killed by the watchdog")
+        self._c_hb_lost = m.counter(
+            "serve.workers.hb_lost", "workers killed for missing heartbeats")
+        self._c_garbage = m.counter(
+            "serve.protocol.garbage", "unparsable lines read from workers")
+        # The sums of the per-job baseline_stats that agents report; the
+        # stores themselves stay in the workers.
         self._c_bl_hits = m.counter(
             "attr.baseline.hits",
             "baseline runs satisfied from the shared store")
@@ -198,15 +225,7 @@ class ServeDaemon:
         # partitioned worker from the previous life reconnects.
         self.fleet = FleetScheduler(
             cfg.state_dir, lease_s=cfg.lease_s, metrics=self.metrics)
-        if cfg.workers > 0:
-            self.pool = WorkerPool(
-                self._jobs_q, self._on_result, size=cfg.workers,
-                timeout_s=cfg.timeout_s, hb_timeout_s=cfg.hb_timeout_s,
-                metrics=self.metrics,
-            )
         self._replay_pending(state.pending)
-        if self.pool is not None:
-            await self.pool.start()
         self._lease_reaper_task = asyncio.create_task(
             self._lease_reaper(), name="serve-lease-reaper")
         sock = cfg.resolved_socket()
@@ -223,6 +242,13 @@ class ServeDaemon:
                 await asyncio.start_server(
                     self._handle_conn, host=host, port=port,
                     limit=protocol.MAX_LINE))
+        for slot in range(cfg.workers):
+            agent = WorkerAgent(AgentConfig(connect=sock, name=f"local{slot}"))
+            thread = threading.Thread(target=agent.run, daemon=True,
+                                      name=f"serve-agent-{slot}")
+            thread.start()
+            self._agents.append(agent)
+            self._agent_threads.append(thread)
         loop = asyncio.get_running_loop()
         for sig in (signal.SIGTERM, signal.SIGINT):
             loop.add_signal_handler(
@@ -247,12 +273,16 @@ class ServeDaemon:
             if self.cache.get(spec) is not None:
                 self.queue_journal.record_done(digest)
                 continue
-            job = _Job(digest, spec)
-            job.order = WorkOrder(digest, spec.to_record(), spec.base_seed)
-            self._inflight[digest] = job
-            self._idle.clear()
-            self._jobs_q.put_nowait(job.order)
+            self._enqueue(_Job(digest, spec))
             self._c_replayed.inc()
+
+    def _enqueue(self, job: _Job) -> None:
+        """Put ``job`` in flight and queue its first attempt."""
+        job.order = WorkOrder(job.digest, job.spec.to_record(),
+                              job.spec.base_seed)
+        self._inflight[job.digest] = job
+        self._idle.clear()
+        self._jobs_q.put_nowait(job.order)
 
     async def drain(self) -> None:
         """Graceful shutdown: refuse new work, finish what is accepted,
@@ -273,8 +303,11 @@ class ServeDaemon:
             await asyncio.gather(self._lease_reaper_task,
                                  return_exceptions=True)
             self._lease_reaper_task = None
-        if self.pool is not None:
-            await self.pool.stop()
+        await self._stop_agents()
+        # Nothing is owed any more: hang up on agents parked in a
+        # long-poll instead of waiting their poll out.
+        for task in list(self._parked):
+            task.cancel()
         for server in self._servers:
             server.close()
             await server.wait_closed()
@@ -292,6 +325,16 @@ class ServeDaemon:
 
     async def wait_stopped(self) -> None:
         await self._stopped.wait()
+
+    async def _stop_agents(self) -> None:
+        """Stop the in-process agents now: each kills its child in flight
+        (a hung cell is never waited out), and their threads are joined
+        off the loop."""
+        for agent in self._agents:
+            agent.stop(abandon=True)
+        loop = asyncio.get_running_loop()
+        for thread in self._agent_threads:
+            await loop.run_in_executor(None, thread.join)
 
     # -- connection handling --------------------------------------------------
     async def _handle_conn(self, reader: asyncio.StreamReader,
@@ -332,9 +375,9 @@ class ServeDaemon:
         finally:
             if conn["worker_id"] is not None and self.fleet is not None:
                 for order in self.fleet.disconnect(conn["worker_id"]):
-                    await self._on_result(order, Outcome(
-                        error=f"remote worker {conn['worker_id']} "
-                              "disconnected mid-lease", infra=True))
+                    await self._on_result(order, {
+                        "error": f"worker {conn['worker_id']} "
+                                 "disconnected mid-lease"})
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -363,7 +406,7 @@ class ServeDaemon:
         if op == "worker-hello":
             return self._op_worker_hello(req, conn)
         if op == "lease-request":
-            return self._op_lease_request(conn)
+            return await self._op_lease_request(req, conn)
         if op == "worker-heartbeat":
             return self._op_worker_heartbeat(req, conn)
         if op == "worker-result":
@@ -435,8 +478,7 @@ class ServeDaemon:
         outstanding = len(self._inflight) + len(new_jobs)
         if new_jobs and outstanding > self.config.max_pending:
             self._c_saturated.inc()
-            retry = (outstanding * self.config.est_cell_s
-                     / max(1, self.config.workers))
+            retry = outstanding * EST_CELL_S / max(1, self.config.workers)
             return protocol.error_reply(
                 protocol.E_SATURATED,
                 f"{len(self._inflight)} jobs outstanding (max "
@@ -444,20 +486,15 @@ class ServeDaemon:
                 retry_after=retry)
 
         try:
-            # Largest-first, like the sweep runner: the pool and fleet
-            # agents lease from one FIFO, so enqueue order is launch
-            # order.  Reply entries stay in submit order.
+            # Largest-first, like the sweep runner: every agent leases
+            # from one FIFO, so enqueue order is launch order.  Reply
+            # entries stay in submit order.
             for spec in dispatch_order(new_jobs):
                 digest = spec.digest()
-                job = seen_new[digest]
                 # Durability first: the journal record is fsync'd before
                 # the job exists anywhere volatile.
                 self.queue_journal.record_job(digest, spec.to_record())
-                job.order = WorkOrder(digest, spec.to_record(),
-                                      spec.base_seed)
-                self._inflight[digest] = job
-                self._idle.clear()
-                self._jobs_q.put_nowait(job.order)
+                self._enqueue(seen_new[digest])
                 self._c_accepted.inc()
         except JournalWriteError as exc:
             # The disk refused the fsync (full, read-only, dying).  Cells
@@ -493,55 +530,58 @@ class ServeDaemon:
             self._c_journal_errors.inc()
             log.error("journal %s record lost (result kept): %s", what, exc)
 
-    async def _on_result(self, order: WorkOrder, outcome: Outcome) -> None:
+    async def _on_result(self, order: WorkOrder,
+                         rec: Dict[str, Any]) -> None:
+        """Settle one attempt from its worker ``result`` fields, as an
+        agent delivered them or ``{"error": ...}`` for a lost lease."""
         # Counted before any terminal-state checks: a result that raced
         # a quarantine still ran its baseline lookups.
-        if outcome.baseline_stats:
-            self._c_bl_hits.inc(int(outcome.baseline_stats.get("hits", 0)))
-            self._c_bl_misses.inc(
-                int(outcome.baseline_stats.get("misses", 0)))
+        stats = rec.get("baseline_stats") or {}
+        self._c_bl_hits.inc(_count(stats, "hits"))
+        self._c_bl_misses.inc(_count(stats, "misses"))
         job = self._inflight.get(order.digest)
         if job is None or job.order is not order:
             return  # already terminal (e.g. quarantine raced a kill)
         assert self.cache is not None and self.queue_journal is not None
-        if outcome.ok:
+        if rec.get("ok"):
+            value = rec.get("value")
             # Cache write *then* journal ack: a crash between the two
             # replays the job and completes it from the cache.
-            self.cache.put(job.spec, outcome.value,
+            self.cache.put(job.spec, value,
                            provenance={"attempts": job.failures + 1})
             self._journal_safe(
                 lambda: self.queue_journal.record_done(order.digest),
                 "done")
             self._c_completed.inc()
-            self._resolve(job, {"status": "ok", "value": outcome.value,
+            self._resolve(job, {"status": "ok", "value": value,
                                 "cached": False,
                                 "attempts": job.failures + 1})
             return
-        if outcome.failed_in_sim:
+        error = str(rec.get("error", "?"))
+        if rec.get("failed_in_sim"):
             self._journal_safe(
                 lambda: self.queue_journal.record_failed(
-                    order.digest, outcome.error or ""), "failed")
+                    order.digest, error), "failed")
             self._c_failed.inc()
-            res = {"status": "failed-in-sim", "error": outcome.error,
+            res = {"status": "failed-in-sim", "error": error,
                    "attempts": job.failures + 1}
-            if outcome.fault is not None:
-                res["fault"] = outcome.fault
+            if rec.get("fault") is not None:
+                res["fault"] = rec["fault"]
             self._resolve(job, res)
             return
         job.failures += 1
         if job.failures >= self.config.max_attempts:
             self._journal_safe(
                 lambda: self.queue_journal.record_quarantine(
-                    order.digest, job.failures, outcome.error or ""),
+                    order.digest, job.failures, error),
                 "quarantine")
             self._quarantined[order.digest] = {
                 "kind": "quarantine", "id": order.digest,
-                "attempts": job.failures, "error": outcome.error or ""}
+                "attempts": job.failures, "error": error}
             self._c_quarantined.inc()
             log.warning("quarantined %s after %d poisoned attempts: %s",
-                        order.digest, job.failures, outcome.error)
-            self._resolve(job, {"status": "quarantined",
-                                "error": outcome.error,
+                        order.digest, job.failures, error)
+            self._resolve(job, {"status": "quarantined", "error": error,
                                 "attempts": job.failures})
             return
         # Infrastructure failure: requeue with the SAME seed — cells are
@@ -550,7 +590,7 @@ class ServeDaemon:
         order.attempt = job.failures
         self._c_requeued.inc()
         log.info("requeue %s (attempt %d): %s",
-                 order.digest, order.attempt, outcome.error)
+                 order.digest, order.attempt, error)
         self._jobs_q.put_nowait(order)
 
     def _resolve(self, job: _Job, result: Dict[str, Any]) -> None:
@@ -564,22 +604,22 @@ class ServeDaemon:
         if not self._inflight:
             self._idle.set()
 
-    # -- fleet (remote worker agents) ------------------------------------------
+    # -- fleet (worker agents, local and remote) -------------------------------
     async def _lease_reaper(self) -> None:
         """Revoke leases whose holders went silent.  Runs for the whole
-        daemon life (including drain: remotely leased work is accepted
-        work, and expiry mid-drain must still requeue it); each expired
-        order re-enters the exact retry/quarantine accounting a local
-        worker death takes."""
+        daemon life (including drain: leased work is accepted work, and
+        expiry mid-drain must still requeue it); each expired order
+        re-enters the exact retry/quarantine accounting a worker death
+        takes."""
         interval = max(0.05, min(1.0, self.config.lease_s / 4))
         while True:
             await asyncio.sleep(interval)
             if self.fleet is None:
                 continue
             for lease in self.fleet.expire():
-                await self._on_result(lease.order, Outcome(
-                    error=f"lease expired (worker {lease.worker_id} silent "
-                          f"for {self.config.lease_s:g}s)", infra=True))
+                await self._on_result(lease.order, {
+                    "error": f"lease expired (worker {lease.worker_id} "
+                             f"silent for {self.config.lease_s:g}s)"})
 
     def _op_worker_hello(self, req: Dict[str, Any],
                          conn: Dict[str, Any]) -> Dict[str, Any]:
@@ -606,35 +646,46 @@ class ServeDaemon:
                 "lease_s": self.config.lease_s,
                 "hb_s": max(0.2, self.config.lease_s / 5)}
 
-    def _next_order(self) -> Optional[WorkOrder]:
-        """The next live order, or ``None`` — tombstoned orders (killed
-        by a racing quarantine or terminal result) are skipped, exactly
-        as the local pool skips them."""
-        while True:
-            try:
-                order = self._jobs_q.get_nowait()
-            except asyncio.QueueEmpty:
-                return None
-            if not order.dead:
-                return order
+    async def _next_order(self) -> Optional[WorkOrder]:
+        """The next live order, waiting up to :data:`LEASE_POLL_S` for
+        one, or ``None``.  Parked requests wait in FIFO order, and a
+        timed-out wait takes nothing off the queue.  Tombstoned orders
+        (killed by a racing quarantine or terminal result) are
+        skipped."""
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + LEASE_POLL_S
+        task = asyncio.current_task()
+        self._parked.add(task)
+        try:
+            while True:
+                try:
+                    order = await asyncio.wait_for(
+                        self._jobs_q.get(), deadline - loop.time())
+                except asyncio.TimeoutError:
+                    return None
+                if not order.dead:
+                    return order
+        finally:
+            self._parked.discard(task)
 
-    def _op_lease_request(self, conn: Dict[str, Any]) -> Dict[str, Any]:
+    async def _op_lease_request(self, req: Dict[str, Any],
+                                conn: Dict[str, Any]) -> Dict[str, Any]:
         wid = conn["worker_id"]
         if wid is None or self.fleet is None:
             return protocol.error_reply(
                 protocol.E_BAD_REQUEST, "lease-request before worker-hello")
-        order = self._next_order()
+        self._c_spawned.inc(_count(req, "spawned"))
+        order = await self._next_order()
         if order is None:
-            return {"ok": True, "lease": None, "retry_after": 0.5}
+            return {"ok": True, "lease": None}
+        # This connection's worker is registered until its handler
+        # exits, which cannot happen while the handler waits here.
         lease = self.fleet.grant(wid, order)
-        if lease is None:  # worker dropped between readline and here
-            self._jobs_q.put_nowait(order)
-            return protocol.error_reply(
-                protocol.E_BAD_REQUEST, f"unknown worker {wid}")
         body: Dict[str, Any] = {
             "digest": order.digest, "spec": order.spec_rec,
             "seed": order.seed, "attempt": order.attempt,
             "token": lease.token, "lease_s": self.config.lease_s,
+            "silence_s": self.config.hb_timeout_s,
         }
         if self.config.timeout_s:
             body["timeout_s"] = self.config.timeout_s
@@ -665,6 +716,12 @@ class ServeDaemon:
             token = int(req.get("token") or 0)
         except (TypeError, ValueError):
             return protocol.error_reply(protocol.E_BAD_REQUEST, "bad token")
+        result = req.get("result")
+        if not isinstance(result, dict):
+            result = {"error": "malformed worker result"}
+        # What happened to the worker happened whether or not the lease
+        # is still ours, so it is counted before the fencing check.
+        self._count_worker_events(result)
         # THE fencing decision: commit only under the current token.  A
         # stale token (lease expired and re-granted, or granted by a
         # pre-restart epoch) is acknowledged but never committed —
@@ -672,11 +729,20 @@ class ServeDaemon:
         lease = self.fleet.take(digest, token)
         if lease is None:
             return {"ok": True, "accepted": False}
-        result = req.get("result")
-        if not isinstance(result, dict):
-            result = {"infra": True, "error": "malformed worker result"}
-        await self._on_result(lease.order, Outcome.from_record(result))
+        await self._on_result(lease.order, result)
         return {"ok": True, "accepted": True}
+
+    def _count_worker_events(self, result: Dict[str, Any]) -> None:
+        """An agent's child that died, overran its watchdog or went
+        silent is killed and replaced: ``cause`` says which."""
+        cause = result.get("cause")
+        if cause is not None:
+            self._c_restarts.inc()
+            if cause == "timeout":
+                self._c_timeouts.inc()
+            elif cause == "frozen":
+                self._c_hb_lost.inc()
+        self._c_garbage.inc(_count(result, "garbage"))
 
     # -- operator ops ----------------------------------------------------------
     def _op_clear_quarantine(self) -> Dict[str, Any]:
@@ -730,12 +796,25 @@ class ServeDaemon:
             "inflight": len(self._inflight),
             "queued": self._jobs_q.qsize(),
             "quarantined": len(self._quarantined),
-            "workers": self.pool.snapshot() if self.pool is not None else [],
-            "fleet": (self.fleet.snapshot()
+            "workers": [
+                {"kind": "local", "slot": slot, "pid": agent.pid,
+                 "state": agent.state, "job": agent.job,
+                 "jobs_done": agent.jobs_done, "restarts": agent.restarts}
+                for slot, agent in enumerate(self._agents)],
+            "fleet": (self.fleet.snapshot(
+                hide={agent.worker_id for agent in self._agents})
                       if self.fleet is not None else None),
             "cache": {"entries": len(self.cache), "root": self.cache.root},
             "counters": counters,
         }
+
+
+def _count(rec: Dict[str, Any], key: str) -> int:
+    """A non-negative tally an agent reported (0 when absent or bad)."""
+    try:
+        return max(0, int(rec.get(key) or 0))
+    except (TypeError, ValueError):
+        return 0
 
 
 def run(config: ServeConfig) -> int:

@@ -30,26 +30,36 @@ Client ops:
 * ``clear-quarantine`` — operator op: forget every circuit-broken cell
   (in memory and in the durable journal) so resubmissions compute again.
 
-Fleet ops (remote worker agents over the same TCP listener; see
-:mod:`repro.serve.fleet`).  The handshake is versioned: a ``hello``
-carries ``proto`` and the daemon refuses versions it does not speak, so
-a fleet can be upgraded one side at a time without silent corruption:
+Fleet ops (worker agents: remote ones over the TCP listener, the
+daemon's own ``--workers`` agents over its unix socket; see
+:mod:`repro.serve.fleet` and :mod:`repro.serve.agent`).  The handshake
+is versioned: a ``hello`` carries ``proto`` and the daemon refuses
+versions it does not speak, so a fleet can be upgraded one side at a
+time without silent corruption:
 
 * ``worker-hello`` — ``{"op": "worker-hello", "proto": FLEET_PROTO,
   "name": ...}`` → ``{"ok": true, "proto": ..., "worker_id": ...,
-  "lease_s": ..., "hb_s": ...}``.  One hello per connection; the
-  connection *is* the worker's session, and its loss revokes every
-  lease the worker holds.
-* ``lease-request`` — ask for one cell.  The grant carries the spec,
-  seed, attempt, the lease's **fencing token**, and the watchdog
-  deadline; an idle daemon replies ``{"lease": null, "retry_after": s}``.
+  "lease_s": ..., "hb_s": ...}``.  The agent heartbeats every ``hb_s``.
+  One hello per connection; the connection *is* the worker's session,
+  and its loss revokes every lease the worker holds.
+* ``lease-request`` — ask for one cell, optionally reporting
+  ``spawned``: the worker children booted since the last request.  The
+  request waits on the queue for up to the daemon's long-poll bound
+  (1 s), so a cell submitted meanwhile is granted at once; past it the
+  reply is ``{"lease": null}`` and the agent asks again.  The grant
+  carries the spec, seed, attempt, the lease's **fencing token**, the
+  watchdog deadline ``timeout_s`` and the child-silence limit
+  ``silence_s``.
 * ``worker-heartbeat`` — ``{"digest": ..., "token": ...}`` renews the
   lease; the reply's ``lease`` field is ``"ok"`` or ``"revoked"`` (the
   agent must kill the job and discard its result on revocation).
-* ``worker-result`` — deliver one outcome with the lease token.  The
-  reply's ``accepted`` is false when the token is stale (the lease
-  expired and was re-granted, or the daemon restarted); a stale result
-  is *never* committed.
+* ``worker-result`` — deliver one outcome (the worker's ``result``
+  fields) with the lease token.  An agent whose child failed the
+  attempt adds the ``cause`` (``died``, ``timeout`` or ``frozen``);
+  ``garbage`` counts the unparsable lines the child wrote.  The daemon counts both even
+  for a stale token.  The reply's ``accepted`` is false when the token
+  is stale (the lease expired and was re-granted, or the daemon
+  restarted); a stale result is *never* committed.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ objects, read back with :func:`repro.runx.journal.iter_records`):
 * ``{"kind": "failed", "id": <digest>, "error": ...}`` — terminal
   deterministic failure (e.g. killed in-simulation by its fault plan).
 * ``{"kind": "quarantine", "id": <digest>, ...}`` — the circuit breaker
-  tripped: the cell poisoned ``attempts`` workers and is barred from
-  the pool until the operator clears it.
+  tripped: the cell poisoned ``attempts`` workers and is never leased
+  again until the operator clears it.
 
 Replay after ``kill -9`` is a pure fold over the records: any accepted
 job without a terminal record is still owed to some client and is

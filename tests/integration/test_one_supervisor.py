@@ -1,11 +1,12 @@
 """``repro.runx.supervisor`` is the only code that launches a worker.
 
-The sweep runner, the fleet agent and the serve daemon's pool all drive
-``repro.runx.workproc`` children through ``WorkerChild``, so the spawn,
-handshake, watchdog, heartbeat and teardown rules exist once.  These
-checks keep a second supervisor from growing back: the serve package
-starts no subprocess of its own, and only the supervisor names the
-worker module as something to run.
+The sweep runner and the serve worker agent (remote, or one of the
+daemon's own ``--workers``) drive ``repro.runx.workproc`` children
+through ``WorkerChild``, so the spawn, handshake, watchdog, heartbeat
+and teardown rules exist once.  These checks keep a second supervisor
+or a second dispatcher from growing back: the serve package starts no
+subprocess of its own, only its agent constructs a ``WorkerChild``, and
+only the supervisor names the worker module as something to run.
 """
 
 import ast
@@ -39,6 +40,18 @@ def test_serve_package_spawns_no_subprocess():
     assert not offenders, (
         "spawn workers through repro.runx.supervisor.WorkerChild, not a "
         "second supervisor: " + ", ".join(offenders))
+
+
+def test_only_the_agent_drives_a_worker_in_the_serve_package():
+    """Local and remote workers are both agents: a daemon-side pool that
+    drives its own children is the second dispatch path this guards."""
+    drivers = sorted({
+        str(path.relative_to(SRC))
+        for path in (SRC / "repro" / "serve").rglob("*.py")
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.Call) and _called_name(node) == "WorkerChild"
+    })
+    assert drivers == ["repro/serve/agent.py"]
 
 
 def test_only_the_supervisor_names_the_worker_module_to_run():

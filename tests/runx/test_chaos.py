@@ -9,6 +9,7 @@ from repro.runx import SweepRunner
 from repro.runx.chaos import PLAN_ENV, FaultPlan, FaultRule
 from repro.runx.cells import run_cell
 from repro.runx.spec import CellSpec
+from repro.runx.supervisor import WorkerChild, WorkerFailed, worker_env
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -132,3 +133,31 @@ def test_fault_fails_one_attempt_and_respawned_worker_finishes(
     pids = {n: r.value["pid"] for n, r in results.items()}
     assert pids["victim"] == pids["after1"] == pids["after2"]
     assert pids["before"] != pids["victim"]
+
+
+def test_worker_keeps_the_plan_it_booted_with(monkeypatch, tmp_path):
+    """A worker reads $REPRO_CHAOS_PLAN once, at boot: rewriting the file
+    afterwards changes nothing for it, only for workers booted later."""
+    spec = CellSpec(id="victim", fn="synthetic", params={"value": 1.0},
+                    base_seed=3)
+    job = {"kind": "job", "id": "j", "spec": spec.to_record(),
+           "seed": spec.base_seed, "attempt": 0}
+    plan_path = str(tmp_path / "plan.json")
+    FaultPlan([]).write(plan_path)
+    monkeypatch.setenv(PLAN_ENV, plan_path)
+    booted = WorkerChild(worker_env())
+    try:
+        FaultPlan([FaultRule(match="victim", fault="kill")]).write(plan_path)
+        booted.submit(job)
+        rec = booted.wait_result("j", timeout_s=60)
+        assert rec["ok"] and rec["value"] == run_cell(
+            spec.fn, spec.params, spec.base_seed)
+        later = WorkerChild(worker_env())
+        try:
+            later.submit(job)
+            with pytest.raises(WorkerFailed, match="signal 9"):
+                later.wait_result("j", timeout_s=60)
+        finally:
+            later.close()
+    finally:
+        booted.close()

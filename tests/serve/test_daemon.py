@@ -19,7 +19,7 @@ from repro.runx import CellSpec, LockHeldError
 from repro.runx.cells import run_cell
 from repro.runx.chaos import PLAN_ENV, FaultPlan, FaultRule
 from repro.serve import ServeClient, ServeConfig, ServeError
-from repro.serve.daemon import ServeDaemon
+from repro.serve.daemon import EST_CELL_S, ServeDaemon
 from repro.serve.queue import DurableQueue
 
 
@@ -49,11 +49,16 @@ def _counter(daemon, name):
     return daemon.metrics.counter(name).value
 
 
+def _worker_rows(daemon):
+    """The status rows of the daemon's own agents."""
+    return daemon._op_status()["workers"]
+
+
 async def _busy_pid(daemon, timeout_s=30.0):
-    """The pid of the first local slot once it is running a job."""
+    """The worker pid of the first local agent once it is running a job."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
-        row = daemon.pool.snapshot()[0]
+        row = _worker_rows(daemon)[0]
         if row["state"] == "busy" and row["pid"]:
             return row["pid"]
         await asyncio.sleep(0.02)
@@ -196,8 +201,9 @@ def test_hung_cell_killed_by_watchdog_then_retried(tmp_path, monkeypatch):
 
 def test_frozen_worker_killed_on_heartbeat_silence_then_retried(tmp_path):
     """SIGSTOP freezes the whole interpreter, heartbeat thread included:
-    the slot kills it after hb_timeout_s of silence, well inside the
-    watchdog, and the retry on a fresh worker succeeds."""
+    the agent kills it after hb_timeout_s of silence (the lease's
+    silence_s), well inside the watchdog, and the retry on a fresh
+    worker succeeds."""
     cfg = _cfg(tmp_path, hb_timeout_s=1.5)
     spec = _spec(0, sleep_s=3.0)
 
@@ -246,9 +252,9 @@ def test_corrupt_worker_output_counted_then_retried(tmp_path, monkeypatch):
     asyncio.run(scenario())
 
 
-def test_pool_stop_kills_a_hung_cell_in_flight(tmp_path, monkeypatch):
-    """Stopping the pool never waits out a hung cell: the busy worker is
-    killed and reaped, so stop() returns promptly."""
+def test_agent_stop_kills_a_hung_cell_in_flight(tmp_path, monkeypatch):
+    """Stopping the daemon's agents never waits out a hung cell: the busy
+    worker is killed and reaped, so the stop returns promptly."""
     spec = _spec(0)
     plan = tmp_path / "plan.json"
     FaultPlan([FaultRule(match=spec.id, fault="hang", attempts=(0,),
@@ -264,12 +270,12 @@ def test_pool_stop_kills_a_hung_cell_in_flight(tmp_path, monkeypatch):
                     wait=False)
         pid = await _busy_pid(daemon)
         t0 = time.monotonic()
-        await daemon.pool.stop()
+        await daemon._stop_agents()
         assert time.monotonic() - t0 < 2.5
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
         assert all(row["state"] == "stopped" and row["pid"] is None
-                   for row in daemon.pool.snapshot())
+                   for row in _worker_rows(daemon))
         # the job is still owed: tear down without a drain, as a kill would
         for server in daemon._servers:
             server.close()
@@ -314,7 +320,7 @@ def test_poisoned_cell_quarantined_without_killing_the_pool(tmp_path):
 
 
 def test_saturated_submit_refused_with_retry_after(tmp_path):
-    cfg = _cfg(tmp_path, max_pending=1, est_cell_s=3.0)
+    cfg = _cfg(tmp_path, max_pending=1)
 
     async def scenario():
         daemon = ServeDaemon(cfg)
@@ -327,7 +333,8 @@ def test_saturated_submit_refused_with_retry_after(tmp_path):
             await _call(client, client.submit,
                         _submit_records([_spec(1), _spec(2)]))
         assert exc.value.code == "saturated"
-        assert exc.value.retry_after and exc.value.retry_after > 0
+        # one cell outstanding plus two refused, over one worker
+        assert exc.value.retry_after == pytest.approx(3 * EST_CELL_S)
         assert _counter(daemon, "serve.rejected.saturated") == 1
         # nothing about the refused submit was accepted
         assert len(daemon._inflight) == 1

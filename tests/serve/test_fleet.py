@@ -13,16 +13,20 @@ needing SIGSTOP.
 import asyncio
 import json
 import socket
+import statistics
 import threading
+import time
 
 from repro.obs import MetricsRegistry
 from repro.runx import CellSpec
 from repro.runx.cells import run_cell
+from repro.runx.chaos import PLAN_ENV, FaultPlan, FaultRule
 from repro.serve import ServeClient, ServeConfig
+from repro.serve import daemon as daemon_mod
 from repro.serve.agent import AgentConfig, WorkerAgent
 from repro.serve.daemon import ServeDaemon
-from repro.serve.fleet import EPOCH_STRIDE, FleetScheduler, next_fence_epoch
-from repro.serve.pool import WorkOrder
+from repro.serve.fleet import (EPOCH_STRIDE, FleetScheduler, WorkOrder,
+                               next_fence_epoch)
 
 
 def _spec(i=0, **params):
@@ -197,7 +201,7 @@ def test_agent_runs_cells_end_to_end_pure_fleet(tmp_path):
         daemon = ServeDaemon(cfg)
         await daemon.start()
         agent = WorkerAgent(AgentConfig(connect=daemon.tcp_endpoint(),
-                                        name="t1", hb_s=0.2))
+                                        name="t1"))
         thread = threading.Thread(target=agent.run, daemon=True)
         thread.start()
         try:
@@ -210,7 +214,7 @@ def test_agent_runs_cells_end_to_end_pure_fleet(tmp_path):
                     spec.fn, spec.params, spec.base_seed)
             st = await _call(client.status)
             assert st["fleet"]["workers"], "agent should appear in status"
-            assert st["workers"] == [], "no local pool at --workers 0"
+            assert st["workers"] == [], "no local agents at --workers 0"
         finally:
             agent.stop()
             await daemon.drain()
@@ -282,9 +286,10 @@ def test_partition_flow_expiry_regrant_fence(tmp_path):
     asyncio.run(scenario())
 
 
-def test_disconnect_mid_lease_requeues_to_local_pool(tmp_path):
+def test_disconnect_mid_lease_requeues_to_a_local_agent(tmp_path):
     """A vanished connection is an instant failure detection: the lease
-    is revoked and the cell completes via the local pool's retry path."""
+    is revoked and the cell's retry completes on the daemon's own
+    agent."""
     cfg = _cfg(tmp_path, workers=1, lease_s=30.0)
     spec = _spec(0, reps=2)
 
@@ -294,15 +299,15 @@ def test_disconnect_mid_lease_requeues_to_local_pool(tmp_path):
         endpoint = daemon.tcp_endpoint()
         worker = await _call(_RawWorker, endpoint)
         assert (await _call(worker.hello))["ok"]
+        # Parked before the local agent's worker has booted, so this
+        # request is first in the FIFO of waiting lease requests.
+        parked = asyncio.ensure_future(_call(worker.lease))
+        await asyncio.sleep(0.05)
         client = ServeClient(socket_path=cfg.resolved_socket())
         waiter = asyncio.ensure_future(
             _call(client.submit, [spec.to_record()]))
-        lease = None
-        while lease is None:
-            rep = await _call(worker.lease)
-            lease = rep.get("lease")
-            if lease is None:
-                await asyncio.sleep(0.05)
+        lease = (await parked)["lease"]
+        assert lease is not None and lease["digest"] == spec.digest()
         await _call(worker.close)  # hang up holding the lease
         out = await waiter
         assert out["cells"][0]["status"] == "ok"
@@ -337,8 +342,6 @@ def test_daemon_restart_fences_old_epoch_and_replays_lease(tmp_path):
             server.close()
             await server.wait_closed()
         daemon_a._lease_reaper_task.cancel()
-        if daemon_a.pool is not None:
-            await daemon_a.pool.stop()
         daemon_a._lock.release()
 
         daemon_b = ServeDaemon(cfg)
@@ -386,5 +389,115 @@ def test_hello_refuses_unknown_proto(tmp_path):
         assert rep["ok"] is False and rep["error"] == "bad-request"
         await _call(worker.close)
         await daemon.drain()
+
+    asyncio.run(scenario())
+
+
+def _start_agent(endpoint, name="t1"):
+    agent = WorkerAgent(AgentConfig(connect=endpoint, name=name))
+    thread = threading.Thread(target=agent.run, daemon=True)
+    thread.start()
+    return agent, thread
+
+
+async def _until_idle(agent, timeout_s=30.0):
+    deadline = time.monotonic() + timeout_s
+    while not (agent.state == "idle" and agent.worker_id):
+        assert time.monotonic() < deadline, "agent never went idle"
+        await asyncio.sleep(0.02)
+
+
+def test_idle_agent_picks_up_a_fresh_cell_at_once(tmp_path):
+    """An idle agent's lease-request is parked on the queue, so a cell
+    submitted right after the previous one finished starts at once; with
+    the old "no lease, retry in 0.5 s" reply each of these submits
+    waited out that poll."""
+    cfg = _cfg(tmp_path)
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        agent, thread = _start_agent(daemon.tcp_endpoint())
+        try:
+            await _until_idle(agent)
+            client = ServeClient(socket_path=cfg.resolved_socket())
+            latencies = []
+            for i in range(5):
+                t0 = time.monotonic()
+                rep = await _call(client.submit, [_spec(i).to_record()])
+                latencies.append(time.monotonic() - t0)
+                assert rep["cells"][0]["status"] == "ok"
+            assert statistics.median(latencies) < 0.25, latencies
+        finally:
+            agent.stop()
+            await daemon.drain()
+            await _call(thread.join, 10.0)
+
+    asyncio.run(scenario())
+
+
+def test_timed_out_long_poll_leaves_the_queue_intact(tmp_path, monkeypatch):
+    """A lease-request that waits out the long-poll bound answers "no
+    lease" and takes nothing with it: cells queued afterwards are all
+    granted, in queue order."""
+    monkeypatch.setattr(daemon_mod, "LEASE_POLL_S", 0.2)
+    cfg = _cfg(tmp_path)
+    specs = [_spec(i) for i in range(3)]
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        worker = await _call(_RawWorker, daemon.tcp_endpoint())
+        assert (await _call(worker.hello))["ok"]
+        t0 = time.monotonic()
+        rep = await _call(worker.lease)
+        assert rep == {"ok": True, "lease": None}
+        assert time.monotonic() - t0 >= 0.15, "the request must wait"
+        assert not daemon._parked
+        client = ServeClient(socket_path=cfg.resolved_socket())
+        await _call(client.submit, [s.to_record() for s in specs], False)
+        assert (await _call(client.status))["queued"] == len(specs)
+        for spec in specs:
+            lease = (await _call(worker.lease))["lease"]
+            assert lease["digest"] == spec.digest()
+            good = run_cell(spec.fn, spec.params, spec.base_seed)
+            assert (await _call(worker.result, lease["digest"],
+                                lease["token"], good))["accepted"]
+        assert (await _call(client.status))["queued"] == 0
+        await _call(worker.close)
+        await daemon.drain()
+
+    asyncio.run(scenario())
+
+
+def test_remote_agent_watchdog_kill_counts_a_timeout(tmp_path, monkeypatch):
+    """The daemon counts what a remote agent's supervisor did: a hung
+    cell killed by the lease's watchdog is a serve.jobs.timeouts and a
+    worker restart, exactly as for the daemon's own agents."""
+    spec = _spec(0)
+    plan = tmp_path / "plan.json"
+    FaultPlan([FaultRule(match=spec.id, fault="hang", attempts=(0,),
+                         hang_s=60.0)]).write(str(plan))
+    monkeypatch.setenv(PLAN_ENV, str(plan))
+    cfg = _cfg(tmp_path, timeout_s=1.5)
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        agent, thread = _start_agent(daemon.tcp_endpoint())
+        try:
+            client = ServeClient(socket_path=cfg.resolved_socket())
+            rep = await _call(client.submit, [spec.to_record()])
+            cell = rep["cells"][0]
+            assert cell["status"] == "ok" and cell["attempts"] == 2
+            counters = (await _call(client.status))["counters"]
+            assert counters["serve.jobs.timeouts"] == 1, counters
+            assert counters["serve.workers.restarts"] == 1, counters
+            assert counters["serve.workers.hb_lost"] == 0, counters
+            assert counters["serve.workers.spawned"] == 2, counters
+        finally:
+            agent.stop()
+            await daemon.drain()
+            await _call(thread.join, 10.0)
 
     asyncio.run(scenario())
