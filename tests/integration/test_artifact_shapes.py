@@ -7,25 +7,32 @@ the ones the paper's tables and figures support at that scale.  Tables 1
 and 5 and both figures take tens of seconds each, so their checks are
 marked ``slow`` (CI runs them in their own job).
 
-Tables 2 and 3 and Figure 1 are also compared byte for byte with the
-committed ``bench/expected/`` outputs of ``repro-smm <cmd> --quick``.
+All seven are pinned byte for byte: each artifact's rendered output
+equals the committed ``repro-smm <cmd> --quick --seed 1`` stdout
+(``bench/expected/`` for Tables 2–3 and Figure 1, ``golden/`` for the
+rest), and the sha256 of its canonical cell-payload JSON (cell id →
+payload, sorted keys) equals ``golden/artifact_payloads.json``.  The
+stdout rounds every value; the digest does not.
 """
 
+import hashlib
+import json
 import pathlib
 
 import pytest
 
 from repro.apps.nas.params import NasClass
 from repro.apps.nas.study import NasConfig, nas_config_feasible
-from repro.harness.figure1 import (
-    assemble_figure1, figure1_cell_specs, render_figure1)
-from repro.harness.figure2 import assemble_figure2, figure2_cell_specs
-from repro.harness.htt_tables import assemble_htt_table, htt_cell_specs
-from repro.harness.mpi_tables import (
-    assemble_table, render, table_cell_specs)
+from repro.cli import _sweep_builders
+from repro.harness.figure1 import assemble_figure1
+from repro.harness.figure2 import assemble_figure2
+from repro.harness.htt_tables import assemble_htt_table
+from repro.harness.mpi_tables import assemble_table, table_cell_specs
 from repro.runx import SweepRunner
 
 EXPECTED = pathlib.Path(__file__).resolve().parents[2] / "bench" / "expected"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+PAYLOAD_SHA256 = json.loads((GOLDEN / "artifact_payloads.json").read_text())
 SEED = 1
 
 
@@ -37,49 +44,64 @@ def _sweep(specs):
     return results
 
 
-def _mpi_table(bench):
-    results = _sweep(table_cell_specs(bench, True, 1, SEED))
-    return assemble_table(bench, True, results)
+@pytest.fixture(scope="module")
+def sweep():
+    """``sweep(cmd)``: the ``{id: CellResult}`` of that command's quick
+    seed-1 matrix, from the specs the CLI builds, run once per module."""
+    done = {}
+
+    def run(cmd):
+        if cmd not in done:
+            specs_fn, _ = _sweep_builders(cmd, False)
+            done[cmd] = _sweep(specs_fn(True, 1, SEED))
+        return done[cmd]
+
+    return run
 
 
-def _htt_table(bench):
-    results = _sweep(htt_cell_specs(bench, True, 1, SEED))
-    return assemble_htt_table(bench, True, results)
+def _assert_pinned(cmd, results, expected):
+    """Rendered stdout equals ``expected`` and the canonical payload JSON
+    hashes to the committed digest."""
+    _, render_fn = _sweep_builders(cmd, False)
+    assert render_fn(True, results) + "\n" == expected.read_text()
+    blob = json.dumps({cid: r.value for cid, r in results.items()},
+                      sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == PAYLOAD_SHA256[cmd]
 
 
 @pytest.fixture(scope="module")
-def table1():
-    return _mpi_table("BT")
+def table1(sweep):
+    return assemble_table("BT", True, sweep("table1"))
 
 
 @pytest.fixture(scope="module")
-def table2():
-    return _mpi_table("EP")
+def table2(sweep):
+    return assemble_table("EP", True, sweep("table2"))
 
 
 @pytest.fixture(scope="module")
-def table3():
-    return _mpi_table("FT")
+def table3(sweep):
+    return assemble_table("FT", True, sweep("table3"))
 
 
 @pytest.fixture(scope="module")
-def table4():
-    return _htt_table("EP")
+def table4(sweep):
+    return assemble_htt_table("EP", True, sweep("table4"))
 
 
 @pytest.fixture(scope="module")
-def table5():
-    return _htt_table("FT")
+def table5(sweep):
+    return assemble_htt_table("FT", True, sweep("table5"))
 
 
 @pytest.fixture(scope="module")
-def figure1():
-    return assemble_figure1(True, _sweep(figure1_cell_specs(True, SEED)))
+def figure1(sweep):
+    return assemble_figure1(True, sweep("figure1"))
 
 
 @pytest.fixture(scope="module")
-def figure2():
-    return assemble_figure2(True, _sweep(figure2_cell_specs(True, SEED)))
+def figure2(sweep):
+    return assemble_figure2(True, sweep("figure2"))
 
 
 def _short_is_noise(rpn, r):
@@ -105,6 +127,11 @@ def test_table1_bt_short_free_long_costly_and_growing(table1):
         for cls in {r.cls for r in rows}:
             p1, p16 = by[(cls, 1)].pct(2), by[(cls, 16)].pct(2)
             assert p16 > p1, (rpn, cls, p1, p16)
+
+
+@pytest.mark.slow
+def test_table1_matches_committed_output(sweep):
+    _assert_pinned("table1", sweep("table1"), GOLDEN / "table1.txt")
 
 
 # -- Table 2: EP ---------------------------------------------------------------
@@ -133,9 +160,8 @@ def test_table2_ep_long_smi_grows_with_nodes(table2):
         assert rows4[(cls, 16)].pct(2) > rows4[(cls, 1)].pct(2)
 
 
-def test_table2_matches_committed_output(table2):
-    expected = (EXPECTED / "table2.txt").read_text()
-    assert render("EP", table2) + "\n" == expected
+def test_table2_matches_committed_output(sweep):
+    _assert_pinned("table2", sweep("table2"), EXPECTED / "table2.txt")
 
 
 # -- Table 3: FT ---------------------------------------------------------------
@@ -170,9 +196,8 @@ def test_table3_ft_class_c_blank_below_four_ranks():
     assert nas_config_feasible(NasConfig("FT", NasClass.C, 4, 1))
 
 
-def test_table3_matches_committed_output(table3):
-    expected = (EXPECTED / "table3.txt").read_text()
-    assert render("FT", table3) + "\n" == expected
+def test_table3_matches_committed_output(sweep):
+    _assert_pinned("table3", sweep("table3"), EXPECTED / "table3.txt")
 
 
 # -- Tables 4–5: HTT × SMI -----------------------------------------------------
@@ -195,6 +220,10 @@ def test_table4_ep_htt_penalty_only_under_long_smis(table4):
     assert tot1 >= tot0
 
 
+def test_table4_matches_committed_output(sweep):
+    _assert_pinned("table4", sweep("table4"), GOLDEN / "table4.txt")
+
+
 @pytest.mark.slow
 def test_table5_ft_htt_long_smi_delta_is_second_order(table5):
     """FT's HTT deltas are small and of both signs in the paper; require
@@ -209,6 +238,11 @@ def test_table5_ft_htt_long_smi_delta_is_second_order(table5):
             # cells see a whole misplacement window at once)
             assert abs(h1 - h0) / h0 < 0.50, (r.cls, r.row)
     assert sum(deltas) / len(deltas) < 0.15
+
+
+@pytest.mark.slow
+def test_table5_matches_committed_output(sweep):
+    _assert_pinned("table5", sweep("table5"), GOLDEN / "table5.txt")
 
 
 # -- Figure 1: Convolve --------------------------------------------------------
@@ -236,9 +270,8 @@ def test_figure1_knee_and_cpu_scaling(figure1):
 
 
 @pytest.mark.slow
-def test_figure1_matches_committed_output(figure1):
-    expected = (EXPECTED / "figure1.txt").read_text()
-    assert render_figure1(figure1) + "\n" == expected
+def test_figure1_matches_committed_output(sweep):
+    _assert_pinned("figure1", sweep("figure1"), EXPECTED / "figure1.txt")
 
 
 # -- Figure 2: UnixBench -------------------------------------------------------
@@ -262,3 +295,8 @@ def test_figure2_core_scaling_and_symmetric_depression(figure2):
         assert by_x[100] / base[k] < 0.75, k
         rel_loss[k] = 1.0 - by_x[600] / base[k]
     assert max(rel_loss.values()) - min(rel_loss.values()) < 0.12
+
+
+@pytest.mark.slow
+def test_figure2_matches_committed_output(sweep):
+    _assert_pinned("figure2", sweep("figure2"), GOLDEN / "figure2.txt")

@@ -2,8 +2,14 @@
 
 import json
 import logging
+import pathlib
 
 from repro.cli import main
+
+#: The ``trace --quick`` record stream, committed: it pins the simulated
+#: event order of one scenario, same-nanosecond ties included.
+TRACE_GOLDEN = (pathlib.Path(__file__).resolve().parents[1] / "integration"
+                / "golden" / "trace_quick.jsonl")
 
 
 def test_cli_trace_quick_writes_valid_chrome_trace(tmp_path, capsys):
@@ -24,6 +30,13 @@ def test_cli_trace_quick_writes_valid_chrome_trace(tmp_path, capsys):
     )
     lines = jsonl.read_text().splitlines()
     assert lines and all(json.loads(l)["kind"] for l in lines)
+
+
+def test_cli_trace_quick_jsonl_matches_golden(tmp_path):
+    jsonl = tmp_path / "t.jsonl"
+    assert main(["trace", "--quick", "-o", str(tmp_path / "t.trace.json"),
+                 "--jsonl", str(jsonl)]) == 0
+    assert jsonl.read_bytes() == TRACE_GOLDEN.read_bytes()
 
 
 def test_cli_trace_smm0_has_no_smm_events(tmp_path):
