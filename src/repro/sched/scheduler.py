@@ -149,13 +149,13 @@ class Scheduler:
     def start_segment(self, task: Task, item: WorkItem) -> None:
         """Place a new compute segment (called from Task.compute).
 
-        Lone-segment fast path: on a running node with no busy CPU and no
-        open rate batch, an unpinned segment lands on the first online CPU
-        (what :meth:`_pick_cpu` returns there) alone, so its rate is
+        Lone-segment fast path: on a running, settled node with no busy
+        CPU, an unpinned segment lands on the first online CPU (what
+        :meth:`_pick_cpu` returns there) alone, so its rate is
         :meth:`LogicalCpu.solo_rate` and :meth:`RateExecutor.add` can
-        admit it at that rate directly.  There is nothing to sync and no
-        other executor to defer, so the batch the general path opens
-        would only flush this one timer: the event stream is identical."""
+        admit it at that rate and push its timer at once: the settle
+        pass the general path owes would assign the same rate and push
+        the same timer."""
         cpu = self._pick_cpu(task)
         if cpu is None:
             raise RuntimeError(
@@ -163,16 +163,11 @@ class Scheduler:
             )
         node = self.node
         if (task.affinity is None and not node._busy and not node._frozen
-                and node._batch_depth == 0):
+                and not node.unsettled):
             cpu.executor.add(item, cpu.solo_rate(task.profile))
         else:
-            node.begin_rate_batch()
-            try:
-                node.sync()
-                cpu.add_segment(item)
-                node.apply_rates()
-            finally:
-                node.end_rate_batch()
+            node.recompute()
+            cpu.add_segment(item)
         task.cpu = cpu
         task.state = TaskState.RUNNING
         if self._m_placed is not None:
@@ -235,14 +230,14 @@ class Scheduler:
         task.cpu = None
         task.state = TaskState.BLOCKED
         # Survivors on this CPU (and HTT siblings) now deserve a larger
-        # share — recompute rates.  Deferred to +0 ns because completion
-        # fires from inside an executor sync; recomputing re-entrantly
-        # would corrupt the integration in progress.  If the departure
-        # left the whole node idle there is nothing to recompute: the
-        # executor already evicted the item, so _busy is current, and a
-        # no-op recompute would only burn an event slot.
-        if self.node._busy:
-            self.engine._post(0, self.node.recompute, (), False)
+        # share: owe the node's settle pass, which syncs the other CPUs
+        # and assigns rates once this instant's events have run.  If the
+        # departure left the whole node idle there is nothing to
+        # recompute: the executor already evicted the item, so _busy is
+        # current.
+        node = self.node
+        if node._busy:
+            node.unsettle()
             # The departure may also have left an imbalance (this CPU
             # idle while a neighbour is stacked) — idle balance.
             self._maybe_idle_balance()
@@ -312,28 +307,20 @@ class Scheduler:
         # Deterministic order: by task id.
         items.sort(key=lambda it: it.meta.tid)
         node = self.node
-        node.begin_rate_batch()
-        try:
-            node.sync()
-            if self._placement_is_greedy(items):
-                # Removing and re-adding every segment would rebuild this
-                # exact placement.  Its one lasting effect is that each
-                # emptied executor tombstones its timer, so the batch flush
-                # pushes a fresh one; do that and nothing else.
-                for cpu in node._busy:
-                    cpu.executor._cancel_timer()
-            else:
-                for item in items:
-                    item.meta.cpu.remove_segment(item)
-                    item.meta.cpu = None
-                for item in items:
-                    task = item.meta
-                    cpu = self._pick_cpu(task)
-                    cpu.add_segment(item)
-                    task.cpu = cpu
-            node.apply_rates()
-        finally:
-            node.end_rate_batch()
+        node.recompute()
+        if self._placement_is_greedy(items):
+            # Removing and re-adding every segment would rebuild this
+            # exact placement: leave it, and let the settle pass reassign
+            # the same rates.
+            return
+        for item in items:
+            item.meta.cpu.remove_segment(item)
+            item.meta.cpu = None
+        for item in items:
+            task = item.meta
+            cpu = self._pick_cpu(task)
+            cpu.add_segment(item)
+            task.cpu = cpu
 
     def _placement_is_greedy(self, items: List[WorkItem]) -> bool:
         """True if re-placing ``items`` (tid order) one by one with
@@ -404,16 +391,10 @@ class Scheduler:
         item = task.current_item
         if item is None:
             return
-        node = self.node
-        node.begin_rate_batch()
-        try:
-            node.sync()
-            task.cpu.remove_segment(item)
-            target.add_segment(item)
-            task.cpu = target
-            node.apply_rates()
-        finally:
-            node.end_rate_batch()
+        self.node.recompute()
+        task.cpu.remove_segment(item)
+        target.add_segment(item)
+        task.cpu = target
         self.misplacements += 1
         if self._m_misplacements is not None:
             self._m_misplacements.value += 1
@@ -429,24 +410,18 @@ class Scheduler:
         items = list(cpu.executor.items)
         if not items:
             return
-        node = self.node
-        node.begin_rate_batch()
-        try:
-            node.sync()
-            for item in items:
-                cpu.remove_segment(item)
-            for item in items:
-                task = item.meta
-                target = None
-                for c in self._eligible_cpus(task):
-                    if c.index == cpu_index:
-                        continue
-                    if target is None or c.n_tasks < target.n_tasks:
-                        target = c
-                if target is None:
-                    raise RuntimeError("nowhere to evacuate task " + task.name)
-                target.add_segment(item)
-                task.cpu = target
-            node.apply_rates()
-        finally:
-            node.end_rate_batch()
+        self.node.recompute()
+        for item in items:
+            cpu.remove_segment(item)
+        for item in items:
+            task = item.meta
+            target = None
+            for c in self._eligible_cpus(task):
+                if c.index == cpu_index:
+                    continue
+                if target is None or c.n_tasks < target.n_tasks:
+                    target = c
+            if target is None:
+                raise RuntimeError("nowhere to evacuate task " + task.name)
+            target.add_segment(item)
+            task.cpu = target

@@ -50,6 +50,15 @@ public :meth:`Engine.schedule`/:meth:`Engine.schedule_at` return nothing;
 a caller that must cancel (processes, rate executors) keeps the raw entry
 from :meth:`Engine._post` and tombstones it with
 :meth:`Engine._cancel_entry`.
+
+Settle passes
+-------------
+A model that re-derives state after every mutation (a node's CPU rates)
+can instead owe one pass per instant: :meth:`Engine.defer_settle`
+queues it, and the run loops drain the queue, in the order the passes
+were deferred, once no event is left at the current instant and before
+the clock moves.  A pass may post an event at the current instant; the
+loop runs it before the clock moves too.
 """
 
 from __future__ import annotations
@@ -498,6 +507,7 @@ class Engine:
         self._now = 0
         self._seq = 0
         self._foreground = 0  # pending non-daemon callbacks
+        self._settles: list[Callable[[], None]] = []  # owed this instant
         self._orphan_failures: list[tuple[str, BaseException]] = []
         # Observability: instruments are cached here (or None) so the
         # disabled-mode cost on the scheduling/dispatch hot paths is a
@@ -571,6 +581,21 @@ class Engine:
             )
         self._post(t_ns - self._now, fn, args, daemon)
 
+    def defer_settle(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` after the last event of the current instant,
+        before the clock moves (see "Settle passes" above).  The caller
+        defers a pass at most once per instant."""
+        self._settles.append(fn)
+
+    def settle(self) -> None:
+        """Run the owed settle passes now, in the order they were
+        deferred.  The run loops call this before the clock moves; a
+        caller that inspects settled state mid-instant may call it too."""
+        settles = self._settles
+        for fn in settles:
+            fn()
+        settles.clear()
+
     def event(self, name: str = "") -> Event:
         """Create a fresh untriggered :class:`Event`."""
         return Event(self, name=name)
@@ -610,9 +635,18 @@ class Engine:
         pop = _heappop
         m_fired = self._m_fired
         orphans = self._orphan_failures
-        while heap and self._foreground > 0:
+        settles = self._settles
+        while True:
+            if not heap or self._foreground <= 0:
+                if settles:
+                    self.settle()
+                    continue
+                break
             entry = heap[0]
             t = entry[0]
+            if settles and t > self._now:
+                self.settle()
+                continue
             if until_ns is not None and t > until_ns:
                 self._now = until_ns
                 return until_ns
@@ -645,9 +679,18 @@ class Engine:
         pop = _heappop
         m_fired = self._m_fired
         orphans = self._orphan_failures
-        while heap and event._ok is None:
+        settles = self._settles
+        while event._ok is None:
+            if not heap:
+                if settles:
+                    self.settle()
+                    continue
+                break
             entry = heap[0]
             t = entry[0]
+            if settles and t > self._now:
+                self.settle()
+                continue
             if limit_ns is not None and t > limit_ns:
                 self._now = limit_ns
                 return limit_ns

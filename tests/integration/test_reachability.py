@@ -40,7 +40,7 @@ ALLOWED = {
     # the fleet tests dial the daemon's ephemeral TCP port
     # (tests/serve/test_fleet.py::test_agent_runs_cells_end_to_end_pure_fleet)
     "repro/serve/daemon.py:ServeDaemon.tcp_endpoint",
-    # the per-CPU reference of Node.apply_rates: tests/machine/
+    # the per-CPU reference of Node._settle: tests/machine/
     # test_cpu_exec.py::test_integer_sum_rates_equal_list_sum_rates_bit_for_bit
     # and tests/faults/test_machine_faults.py::test_degrade_scales_cpu_rate
     "repro/machine/cpu.py:LogicalCpu.gross_hz",

@@ -217,24 +217,24 @@ def test_integer_sum_rates_equal_list_sum_rates_bit_for_bit(
         pool, cpus, frozen, degraded):
     """Stacked CPUs, busy, idle and offline HTT siblings, repeated and
     mixed profile objects, two sockets, a frozen node and a degraded
-    busy CPU: after ``recompute`` every installed rate is the list-sum
-    rate exactly.  Segments arrive at staggered instants, and every rate
-    pass finds each busy executor synced to *now*, so the pass has no
-    window to integrate before installing rates."""
+    busy CPU: after the settle pass every installed rate is the list-sum
+    rate exactly.  Segments arrive at staggered instants, and every
+    settle pass leaves each busy executor synced to *now*, so no window
+    is left to integrate at the rates it installed."""
     m = make_machine(TWO_SOCKET_HTT)
     node = m.node
     # cpu i and i+4 are siblings; cores 0-1 on socket 0, 2-3 on socket 1.
     for i, spec in enumerate(cpus):
         if spec == "offline" and i != 0:
             m.sysfs.set_online(i, False)
-    apply_rates = node.apply_rates
+    settle = node._settle
 
-    def checked_apply_rates():
+    def checked_settle():
+        settle()
         for cpu in node._busy:
             assert cpu.executor._last_sync == m.engine.now
-        apply_rates()
 
-    node.apply_rates = checked_apply_rates
+    node._settle = checked_settle
     work = TWO_SOCKET_HTT.base_hz
 
     def body(delay):
@@ -258,6 +258,7 @@ def test_integer_sum_rates_equal_list_sum_rates_bit_for_bit(
     if frozen:
         node.freeze()
     node.recompute()
+    m.engine.settle()
     assert len(node._busy) == busy
     for cpu in node._busy:
         # the executor's rate slots are in item order

@@ -133,11 +133,10 @@ def test_periodic_balancer_heals_sibling_sharing():
     a, b = tasks
     sib = a.cpu.state.sibling
     item = b.current_item
-    m.node.sync()
+    m.node.recompute()
     b.cpu.remove_segment(item)
     m.node.cpu(sib.index).add_segment(item)
     b.cpu = m.node.cpu(sib.index)
-    m.node.apply_rates()
     assert b.cpu.state.core is a.cpu.state.core
     # The periodic balancer must undo it within one period.
     m.engine.run(until_ns=m.engine.now + BALANCE_PERIOD_NS + 1_000_000)
@@ -176,22 +175,30 @@ def _resident_items(m):
 
 
 def _rate_state(m):
-    """Per-CPU resident order, rates and completion timer, plus the
-    engine's sequence counter."""
+    """Per-CPU resident order, rate bits and completion timer, once the
+    instant has settled."""
+    m.engine.settle()
     cpus = []
     for cpu in m.node.cpus:
         ex = cpu.executor
         armed = ex._timer is not None and not ex._timer[5]
-        cpus.append(([it.meta.name for it in ex.items], list(ex._rate),
+        cpus.append(([it.meta.name for it in ex.items],
+                     [r.hex() for r in ex._rate],
                      armed, ex._timer_time if armed else None))
-    return cpus, m.engine._seq
+    return cpus
+
+
+def _accounts(tasks):
+    return [(t.acct.kernel_ns, t.acct.true_ns, t.acct.stolen_ns)
+            for t in tasks]
 
 
 @pytest.mark.parametrize("cpus, n", [(1, 6), (2, 5), (8, 11)])
 def test_noop_rebalance_matches_forced_full_path(cpus, n):
     """A rebalance that would rebuild the current placement skips the
-    remove/re-add, yet leaves item order, rates, timers and the engine's
-    sequence counter exactly where the full path leaves them."""
+    remove/re-add, yet settles to the item order, rate bits and timer
+    fire times of the full path, and the run finishes every task at the
+    same nanosecond with the same accounting."""
     from repro.core.smi import SmiProfile, SmiSource
 
     runs = []
@@ -208,7 +215,8 @@ def test_noop_rebalance_matches_forced_full_path(cpus, n):
         sched.rebalance()
         state = _rate_state(m)
         m.engine.run()
-        runs.append((state, [t.finished_ns for t in tasks], m.engine._seq))
+        runs.append((state, [t.finished_ns for t in tasks],
+                     _accounts(tasks)))
     assert runs[0] == runs[1]
 
 
@@ -238,11 +246,10 @@ def test_changed_placement_takes_full_path():
     # Stack a third task on cpu0 by hand: loads 3/1 are not greedy.
     moved = next(t for t in tasks if t.cpu.index == 1)
     node, target = m.node, m.node.cpu(0)
-    node.sync()
+    node.recompute()
     moved.cpu.remove_segment(moved.current_item)
     target.add_segment(moved.current_item)
     moved.cpu = target
-    node.apply_rates()
     assert not m.scheduler._placement_is_greedy(_resident_items(m))
     m.scheduler.rebalance()
     assert [cpu.n_tasks for cpu in m.node.cpus[:2]] == [2, 2]
@@ -255,30 +262,30 @@ def _lone_segment(*, batched=False, degrade=None, smi_at_ns=None,
                   affinity=None):
     """Start one 10 ms segment on an idle node and run it to completion.
 
-    ``batched`` opens a rate batch around the placement, which forces the
-    general path; otherwise an unpinned segment takes the direct one.
-    Returns the state right after placement, the state after the run, and
-    the number of rate batches the placement opened."""
+    ``batched`` owes the node a settle pass before the placement, which
+    forces the general path; otherwise an unpinned segment takes the
+    direct one.  Returns the settled state right after placement, the
+    state after the run, and the number of rate passes the placement
+    owed."""
     from repro.simx.rate import WorkItem
 
     m = make_machine(R410_SPEC, enable_balancer=False)
     node, sched, engine = m.node, m.scheduler, m.engine
     if degrade is not None:
         node.cpu(0).degrade(degrade)
+        engine.settle()
     if smi_at_ns is not None:
         engine.schedule(smi_at_ns, node.smm.trigger, 2_000_000)
     task = sched.create_task("t", REG, affinity=affinity)
     item = WorkItem(engine, R410_SPEC.base_hz * 0.01, meta=task, name="t.seg")
-    batches = []
-    begin = node.begin_rate_batch
-    node.begin_rate_batch = lambda: (batches.append(1), begin())
+    passes = []
+    recompute = node.recompute
+    node.recompute = lambda: (passes.append(1), recompute())
     if batched:
-        node.begin_rate_batch()
-        sched.start_segment(task, item)
-        node.end_rate_batch()
-    else:
-        sched.start_segment(task, item)
-    del node.begin_rate_batch
+        node.recompute()
+    sched.start_segment(task, item)
+    del node.recompute
+    engine.settle()
     ex = task.cpu.executor
     placed = ([r.hex() for r in ex._rate], ex._timer_time, engine._seq,
               [c.index for c in node._busy], task.cpu.index, task.state)
@@ -286,19 +293,19 @@ def _lone_segment(*, batched=False, degrade=None, smi_at_ns=None,
     acct = task.acct
     done = (item.finished_at, acct.kernel_ns, acct.true_ns, acct.stolen_ns,
             node._busy, task.state, engine._seq)
-    return placed, done, len(batches) - batched
+    return placed, done, len(passes) - batched
 
 
 @pytest.mark.parametrize("degrade, smi_at_ns", [
     (None, None), (0.5, None), (None, 3_000_000), (0.5, 3_000_000)])
 def test_lone_segment_direct_path_matches_batched_path(degrade, smi_at_ns):
-    """Placing a segment on an idle node without a rate batch gives the
+    """Placing a segment on an idle node without a settle pass gives the
     same rate bits, timer, sequence numbers, finish time and accounting
     as the general path — on a degraded CPU and across an SMI too."""
     direct = _lone_segment(degrade=degrade, smi_at_ns=smi_at_ns)
     general = _lone_segment(batched=True, degrade=degrade,
                             smi_at_ns=smi_at_ns)
-    assert direct[2] == 0  # no rate batch: the direct path
+    assert direct[2] == 0  # no settle pass owed: the direct path
     assert direct[:2] == general[:2]
     placed, done, _ = direct
     assert placed[3] == [0] and placed[5] is TaskState.RUNNING
@@ -324,13 +331,14 @@ def test_frozen_node_takes_the_general_path():
     node.freeze()
     task = sched.create_task("t", REG)
     item = WorkItem(m.engine, R410_SPEC.base_hz * 0.01, meta=task)
-    batches = []
-    begin = node.begin_rate_batch
-    node.begin_rate_batch = lambda: (batches.append(1), begin())
+    passes = []
+    recompute = node.recompute
+    node.recompute = lambda: (passes.append(1), recompute())
     sched.start_segment(task, item)
-    assert batches == [1]
+    assert passes == [1]
+    del node.recompute
+    m.engine.settle()
     assert task.cpu.executor._rate == [0.0]  # no progress inside SMM
-    del node.begin_rate_batch
     node.unfreeze()
     m.engine.run()
     assert item.finished_at == 10_000_000

@@ -15,18 +15,23 @@ def make(engine=None):
     return eng, ex, completed
 
 
+class _Owner:
+    """A settle owner, as a node is to its CPUs' executors."""
+
+    unsettled = False
+
+
 def defer_reschedule(ex):
-    """Open a coalescing batch on one executor, as
-    ``Node.begin_rate_batch`` does for each busy CPU."""
-    ex._defer = True
+    """Owe a settle pass, as ``Node.recompute`` does for its executors:
+    reschedules are skipped until the pass runs."""
+    ex.owner = _Owner()
+    ex.owner.unsettled = True
 
 
 def flush_reschedule(ex):
-    """Close it, as ``Node.end_rate_batch`` does: one owed pass."""
-    ex._defer = False
-    if ex._dirty:
-        ex._dirty = False
-        ex._reschedule()
+    """Run the owed pass, as ``Node._settle`` does: one reschedule."""
+    ex.owner.unsettled = False
+    ex._reschedule()
 
 
 def test_single_item_completes_at_demand_over_rate():
@@ -349,14 +354,15 @@ def test_deferred_reschedule_coalesces_to_one_pass():
 
     def batched_churn():
         defer_reschedule(ex)
+        seq = eng._seq
         try:
             ex.set_rates({item: 0.0})
             ex.set_rates({item: 2.0})
             ex.set_rates({item: 1.0})
-            assert ex._dirty  # mutations owed exactly one pass
+            assert eng._seq == seq  # no timer pushed before the pass
         finally:
             flush_reschedule(ex)
-        assert not ex._dirty
+        assert eng._seq == seq + 1  # the one owed pass pushed one
 
     eng.schedule(250, batched_churn)
     eng.run()
@@ -371,7 +377,7 @@ def test_flush_without_mutation_is_a_no_op():
     ex.set_rates({item: 1.0})
     timer = ex._timer
     defer_reschedule(ex)
-    flush_reschedule(ex)  # nothing dirtied: live timer must survive
+    flush_reschedule(ex)  # same ETA, nothing pushed since: timer kept
     assert ex._timer is timer
     eng.run()
     assert item.finished_at == 100
@@ -399,9 +405,10 @@ def _eta_per_item(remaining, rates):
 
 def _soonest(remaining, rates):
     eng, ex, _ = make()
-    for rem in remaining:
-        ex.add(WorkItem(eng, demand=rem))
-    ex.set_rates_seq(rates)
+    items = [WorkItem(eng, demand=rem) for rem in remaining]
+    for item in items:
+        ex.add(item)
+    ex.set_rates(dict(zip(items, rates)))
     return ex._soonest_eta()
 
 
