@@ -24,7 +24,7 @@ CacheUnfriendly (~70 % misses) — see :mod:`repro.apps.convolve`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "WorkloadProfile",
@@ -91,6 +91,20 @@ class WorkloadProfile:
             raise ValueError("penalties must be >= 0")
         if not (0.0 <= self.cache_sensitivity <= 1.0):
             raise ValueError(f"cache_sensitivity out of range: {self.cache_sensitivity}")
+        # The rate pass keys the cache-efficiency memo on profiles: hash
+        # the fields once here (the same tuple the generated __hash__
+        # builds per call), not on every lookup.  Equality is unchanged.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: a str hash differs between processes.
+        return (type(self), self._fields())
 
     def cost_per_op(self, extra_dram: float = 0.0, extra_mid: float = 0.0) -> float:
         """Average cost of one work unit, in work-unit times.

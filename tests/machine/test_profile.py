@@ -94,3 +94,28 @@ def test_efficiency_always_in_unit_interval(miss, mem, ed, em):
     p = WorkloadProfile(name="p", base_miss_rate=miss, mem_ref_fraction=mem)
     eff = p.efficiency(ed, em)
     assert 0.0 < eff <= 1.0
+
+
+def test_equal_profiles_share_memo_entries():
+    """The hash is computed once, from the same fields equality compares:
+    an equal profile built separately (or rebuilt by ``replace`` or a
+    pickle round trip) hashes alike and hits the same efficiency memo
+    entry, and a profile differing in one field does not."""
+    import pickle
+    from dataclasses import replace
+
+    from repro.machine.topology import WYEAST_SPEC
+
+    a = WorkloadProfile(name="m", working_set_bytes=3 << 20)
+    twins = [WorkloadProfile(name="m", working_set_bytes=3 << 20),
+             replace(a), pickle.loads(pickle.dumps(a))]
+    hierarchy = WYEAST_SPEC.hierarchy()
+    eff = hierarchy.efficiency_solo(a)
+    for b in twins:
+        assert b is not a and b == a and hash(b) == hash(a)
+        assert hierarchy.efficiency_solo(b) == eff
+    assert len(hierarchy._eff_cache) == 1
+    other = replace(a, base_miss_rate=0.02)
+    assert other != a
+    hierarchy.efficiency_solo(other)
+    assert len(hierarchy._eff_cache) == 2
