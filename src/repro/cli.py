@@ -193,15 +193,22 @@ def _load_fault_plan(path: Optional[str]):
 
 
 def _with_faults(specs, plan):
-    """Rewrite every spec a plan rule matches so its params carry the
-    matching rule records — the executor arms them in-simulation.  The
-    rewrite changes those specs' digests, which is correct: a faulted
-    cell's payload is not interchangeable with a clean one."""
+    """Rewrite every spec a plan rule matches, and can fire in, so its
+    params carry those rule records — the executor arms them
+    in-simulation.  A rule its executor's injector would not arm (a link
+    rule on one machine, a node the cell does not have) is left out, so
+    such a cell stays clean and keeps its clean digest.  The rewrite
+    changes an armed spec's digest, which is correct: a faulted cell's
+    payload is not interchangeable with a clean one."""
     from repro.runx import CellSpec
+    from repro.runx.cells import fault_domain
 
     out, hit = [], 0
     for spec in specs:
         rules = plan.rules_for(spec.id)
+        domain = fault_domain(spec.fn, spec.params)
+        if domain is not None:
+            rules = [r for r in rules if r.fires_in(*domain)]
         if rules:
             hit += 1
             out.append(CellSpec(

@@ -89,10 +89,10 @@ class FaultInjector:
         cluster.faults = self
         engine = cluster.engine
         for rule in self.rules:
-            if rule.is_link:
+            # Link rules need no timer; a node rule may target a node
+            # this cell does not have.
+            if rule.is_link or not rule.fires_in(len(cluster.nodes), True):
                 continue
-            if not (0 <= rule.node < len(cluster.nodes)):
-                continue  # rule targets a node this cell doesn't have
             engine.schedule_at(
                 int(rule.at_s * 1e9), self._fire_node_fault, rule,
                 cluster.nodes[rule.node], daemon=True,
@@ -103,7 +103,7 @@ class FaultInjector:
         """Single-machine variant: arm node-level rules targeting node 0
         against ``node``.  Link rules are meaningless here and skipped."""
         for rule in self.rules:
-            if rule.is_link or rule.node != 0:
+            if not rule.fires_in(1, False):
                 continue
             node.engine.schedule_at(
                 int(rule.at_s * 1e9), self._fire_node_fault, rule, node,

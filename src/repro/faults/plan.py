@@ -93,6 +93,14 @@ class FaultRule:
     def applies(self, cell_id: str) -> bool:
         return fnmatch.fnmatchcase(cell_id, self.match)
 
+    def fires_in(self, nodes: int, links: bool) -> bool:
+        """True when an injector attached to a run of ``nodes`` nodes —
+        joined by MPI links if ``links`` — would arm this rule: a link
+        rule needs links, a node rule a node at its index."""
+        if self.is_link:
+            return links
+        return 0 <= self.node < nodes
+
     def to_record(self) -> Dict[str, Any]:
         rec: Dict[str, Any] = {"fault": self.fault, "match": self.match}
         if self.fault in NODE_FAULTS:

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import importlib
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SMM_SEED_STRIDE, rep_seed, run_repeated
 
-__all__ = ["resolve", "run_cell", "dispatch_order", "REGISTRY"]
+__all__ = ["resolve", "run_cell", "dispatch_order", "fault_domain",
+           "REGISTRY"]
 
 CellFn = Callable[..., Dict[str, Any]]
 
@@ -304,6 +305,18 @@ REGISTRY: Dict[str, CellFn] = {
     "unixbench": unixbench_cell,
     "synthetic": synthetic_cell,
 }
+
+
+def fault_domain(fn: str, params: Dict) -> Optional[Tuple[int, bool]]:
+    """``(nodes, links)`` of the runs an executor arms a cell's fault
+    rules on — what :meth:`repro.faults.FaultRule.fires_in` takes: a NAS
+    cell's cluster with its MPI links, or the one machine of a Convolve
+    or UnixBench run.  ``None`` for any other executor."""
+    if fn == "nas":
+        return params["nodes"], True
+    if fn in ("convolve_line", "convolve_run", "unixbench"):
+        return 1, False
+    return None
 
 
 def resolve(fn: str) -> CellFn:

@@ -71,13 +71,13 @@ def test_cli_env_plan_arms_cells_and_flag_overrides_it(
         tmp_path, monkeypatch, capsys):
     from repro.cli import main
 
-    # Both plans match cells but cannot fire: node 99 does not exist.
+    # Both plans arm cells whose runs end long before the faults' time.
     env_plan = tmp_path / "env.json"
-    FaultPlan([FaultRule(fault="node_crash", node=99),
-               FaultRule(fault="clock_skew", node=99)]).write(str(env_plan))
+    FaultPlan([FaultRule(fault="node_crash", at_s=1e6),
+               FaultRule(fault="clock_skew", at_s=1e6)]).write(str(env_plan))
     flag_plan = tmp_path / "flag.json"
     FaultPlan([FaultRule(fault="node_crash", match="*smm=0",
-                         node=99)]).write(str(flag_plan))
+                         at_s=1e6)]).write(str(flag_plan))
     monkeypatch.setenv(PLAN_ENV, str(env_plan))
     monkeypatch.chdir(tmp_path)
 

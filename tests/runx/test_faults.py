@@ -149,8 +149,10 @@ def test_with_faults_rewrites_only_matching_specs():
     from repro.cli import _with_faults
     from repro.faults import FaultPlan, FaultRule
 
-    specs = [CellSpec(id="BT.A n=4", fn="nas", params={"x": 1}, base_seed=3),
-             CellSpec(id="EP.A n=2", fn="nas", params={"x": 2}, base_seed=4)]
+    specs = [CellSpec(id="BT.A n=4", fn="nas", params={"nodes": 4},
+                      base_seed=3),
+             CellSpec(id="EP.A n=2", fn="nas", params={"nodes": 2},
+                      base_seed=4)]
     plan = FaultPlan([FaultRule(fault="node_crash", match="BT.*")])
     out, hit = _with_faults(specs, plan)
     assert hit == 1
@@ -160,6 +162,39 @@ def test_with_faults_rewrites_only_matching_specs():
     assert out[1] is specs[1]  # untouched specs pass through identically
     # The rewrite must change the digest: faulted work is different work.
     assert out[0].digest() != specs[0].digest()
+
+
+def test_with_faults_arms_only_rules_the_executor_would_fire():
+    """A link rule cannot fire on one machine and a node-1 rule needs a
+    second node: the quick Figure 1 cells stay clean (and keep their
+    clean digests), while a 2-node NAS cell arms both rules and a 1-node
+    one only the link rule."""
+    from repro.cli import _with_faults
+    from repro.faults import FaultInjector, FaultPlan, FaultRule
+    from repro.harness.figure1 import figure1_cell_specs
+    from repro.machine.topology import WYEAST_SPEC
+    from repro.system import make_machine
+
+    plan = FaultPlan([FaultRule(fault="link_drop"),
+                      FaultRule(fault="node_crash", node=1)])
+    specs = figure1_cell_specs(True, 1)
+    out, hit = _with_faults(specs, plan)
+    assert hit == 0 and all(a is b for a, b in zip(out, specs))
+
+    nas = [CellSpec(id=f"EP.A n={n}", fn="nas", params={"nodes": n},
+                    base_seed=n) for n in (2, 1)]
+    out, hit = _with_faults(nas, plan)
+    assert hit == 2
+    assert [[r["fault"] for r in s.params["faults"]] for s in out] == [
+        ["link_drop", "node_crash"], ["link_drop"]]
+
+    # The injector arms by the same predicate: of these rules only the
+    # node-0 one gets a timer on a single machine.
+    m = make_machine(WYEAST_SPEC)
+    seq = m.engine._seq
+    FaultInjector(plan.rules + [FaultRule(fault="clock_skew")]).attach_node(
+        m.node)
+    assert m.engine._seq == seq + 1
 
 
 def test_faulted_nas_cell_carries_no_attribution():
