@@ -84,6 +84,41 @@ def test_process_delay_and_return_value():
     assert not p.alive
 
 
+def test_settle_passes_run_before_the_clock_moves_in_deferral_order():
+    eng = Engine()
+    log = []
+
+    def mutate(tag):
+        log.append((eng.now, tag))
+        eng.defer_settle(lambda: log.append((eng.now, f"settle {tag}")))
+
+    eng.schedule(5, mutate, "a")
+    eng.schedule(5, mutate, "b")
+    eng.schedule(5, log.append, (5, "last event"))
+    eng.schedule(9, log.append, (9, "later"))
+    eng.run()
+    assert log == [(5, "a"), (5, "b"), (5, "last event"),
+                   (5, "settle a"), (5, "settle b"), (9, "later")]
+
+
+def test_settle_may_post_an_event_at_the_current_instant():
+    """A pass that posts at +0 (an item already complete) has that event
+    run before the clock moves, and a pass owed with the heap empty or
+    in ``run_until`` still runs."""
+    eng = Engine()
+    log = []
+    eng.schedule(3, lambda: eng.defer_settle(
+        lambda: eng.schedule(0, log.append, ("zero", eng.now))))
+    eng.schedule(4, log.append, ("later", 4))
+    eng.run()
+    assert log == [("zero", 3), ("later", 4)]
+
+    done = eng.event()
+    eng.defer_settle(lambda: eng.schedule(2, done.succeed))
+    eng.run_until(done)
+    assert done.triggered and eng.now == 6
+
+
 def test_process_requires_generator():
     eng = Engine()
     with pytest.raises(TypeError):
