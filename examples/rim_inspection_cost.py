@@ -13,10 +13,9 @@ Run:  python examples/rim_inspection_cost.py        (~5 seconds)
 """
 
 from repro.apps.nas.params import NasClass
-from repro.apps.nas.study import _APPS, NasConfig, run_nas_config
+from repro.apps.nas.study import NasConfig, run_nas_config
 from repro.apps.unixbench import run_unixbench
 from repro.core.smi import SmiProfile
-from repro.mpi.cluster import Cluster, ClusterSpec, run_mpi_job
 
 
 def main() -> None:
@@ -34,13 +33,8 @@ def main() -> None:
         ub = run_unixbench(
             8, SmiProfile.RIM, period_ms, seed=4, duration_s=1.0
         ).total_index
-        # the study's smm levels are the paper's short/long classes, so
-        # the RIM profile goes onto a cluster built here
-        make_app, profile = _APPS["FT"]
-        cluster = Cluster(ClusterSpec(n_nodes=4), seed=4)
-        cluster.enable_smi(SmiProfile.RIM, period_ms, seed=4)
-        ft = run_mpi_job(cluster, make_app(NasClass.A), nranks=4,
-                         ranks_per_node=1, profile=profile).elapsed_s
+        ft = run_nas_config(ft_cfg, smm=SmiProfile.RIM, seed=4,
+                            interval_jiffies=period_ms)
         print(
             f"{period_ms:>15} ms {duty:>7.1f} {ub:>14.0f} "
             f"{100 * (ub - ub_base) / ub_base:>6.1f} {ft:>16.2f} "

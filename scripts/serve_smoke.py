@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI serve smoke: the sweep-serving daemon survives what CI throws at it.
 
-Four drills against a real daemon (real unix socket, real worker
+Five drills against a real daemon (real unix socket, real worker
 subprocesses), mirroring the acceptance criteria verbatim:
 
 1. kill -9 one worker mid-cell: the in-flight attempt is retried on a
@@ -13,6 +13,9 @@ subprocesses), mirroring the acceptance criteria verbatim:
    a result document byte-identical to an uninterrupted serve.
 4. a poisoned cell is quarantined after bounded retries without taking
    the pool down; the daemon keeps serving other cells.
+5. submit a sweep at seed 1, then at seed 2: its zero-SMI cells, whose
+   digest leaves out the seed, come back from the cache, and the seed-2
+   table equals an unserved ``repro-smm table2 --quick --seed 2``.
 
 Usage: serve_smoke.py [WORKDIR]
 """
@@ -198,9 +201,32 @@ def main(argv):
     assert c["serve.jobs.quarantined"] == 1, c
     stop_daemon(daemon)
 
+    print("== drill 5: zero-SMI cells served from cache at another seed ==")
+    daemon, sock = start_daemon(work, "state5")
+    seed1 = _cli(["submit", "table2", "--quick", "--socket", sock],
+                 env=_env(), cwd=work)
+    assert seed1.returncode == 0, (seed1.stdout, seed1.stderr)
+    m2 = os.path.join(work, "seed2.served.json")
+    seed2 = _cli(["submit", "table2", "--quick", "--seed", "2", "--socket",
+                  sock, "--manifest", m2], env=_env(), cwd=work)
+    assert seed2.returncode == 0, (seed2.stdout, seed2.stderr)
+    cells = json.load(open(m2))["cells"]
+    cached = sorted(c["id"] for c in cells if c["cached"])
+    zero = sorted(c["id"] for c in cells if c["id"].endswith("smm=0"))
+    assert len(zero) == 10 and cached == zero, (cached, zero)
+    local = _cli(["table2", "--quick", "--seed", "2", "--manifest",
+                  os.path.join(work, "seed2.local.json")],
+                 env=_env(), cwd=work)
+    assert local.returncode == 0, (local.stdout, local.stderr)
+    assert seed2.stdout == local.stdout, \
+        "served seed-2 table must equal the unserved one"
+    stop_daemon(daemon)
+    print(f"   seed 2: {len(cached)}/{len(cells)} cells (every smm=0 cell) "
+          f"from the seed-1 cache; table identical to an unserved run")
+
     print("ok: worker kill retried, resubmission 100% cached and "
           "byte-identical, daemon crash replayed and matched, poisoned "
-          "cell circuit-broken")
+          "cell circuit-broken, zero-SMI cells shared across seeds")
     return 0
 
 

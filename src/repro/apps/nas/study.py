@@ -10,7 +10,7 @@ its ~1/64 scaling of the single-rank time).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.apps.nas.bt import bt_valid_ranks, make_bt_app
 from repro.apps.nas.ep import make_ep_app
@@ -21,7 +21,7 @@ from repro.apps.nas.params import (
     NAS_FT_PROFILE,
     NasClass,
 )
-from repro.core.smi import SmiProfile
+from repro.core.smi import SmiDurations, SmiProfile
 from repro.mpi.cluster import Cluster, ClusterSpec, run_mpi_job
 from repro.mpi.network import NetworkSpec
 
@@ -73,7 +73,7 @@ def nas_config_feasible(cfg: NasConfig) -> bool:
 
 def run_nas_config(
     cfg: NasConfig,
-    smm: int = 0,
+    smm: Union[int, SmiDurations] = 0,
     seed: int = 1,
     interval_jiffies: int = 1000,
     network: Optional[NetworkSpec] = None,
@@ -86,6 +86,10 @@ def run_nas_config(
     attr=None,
 ) -> Optional[float]:
     """Run one benchmark configuration under one SMI class.
+
+    ``smm`` is the paper's column index (0/1/2, see
+    :meth:`SmiProfile.by_index`) or any :class:`SmiDurations` profile,
+    such as :attr:`SmiProfile.RIM`.
 
     Returns the benchmark's reported time in seconds (max over ranks of
     the timed region, as NPB reports), or ``None`` for infeasible
@@ -131,7 +135,7 @@ def run_nas_config(
         for node in cluster.nodes:
             node.scheduler.trace_placements = True
     cluster.enable_smi(
-        SmiProfile.by_index(smm),
+        smm if isinstance(smm, SmiDurations) else SmiProfile.by_index(smm),
         interval_jiffies=interval_jiffies,
         seed=seed,
         phase_spread_ns=phase_spread_ns,

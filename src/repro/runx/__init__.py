@@ -35,6 +35,7 @@ from repro.runx.spec import (
     OK,
     CellResult,
     CellSpec,
+    seed_free,
 )
 
 __all__ = [
@@ -51,4 +52,5 @@ __all__ = [
     "OK",
     "FAILED",
     "FAILED_IN_SIM",
+    "seed_free",
 ]

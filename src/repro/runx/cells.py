@@ -19,6 +19,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.experiment import SMM_SEED_STRIDE, rep_seed, run_repeated
+from repro.runx.spec import seed_free
 
 __all__ = ["resolve", "run_cell", "dispatch_order", "fault_domain",
            "REGISTRY"]
@@ -32,6 +33,9 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
     """One (config, smm) cell of Tables 1–5: ``reps`` repetitions, averaged
     downstream.  ``{"values": null}`` marks an infeasible configuration
     (the tables' "-"), which is a legitimate result, not a failure.
+
+    A :func:`~repro.runx.spec.seed_free` cell (zero SMI, no faults)
+    simulates one repetition and repeats its value ``reps`` times.
 
     When the spec carries ``params["faults"]`` (rule dicts injected by the
     harness's ``--fault-plan`` rewrite) each repetition runs armed by
@@ -58,15 +62,17 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
         return _nas_cell_attr(cfg, params, seed, metrics)
     faults = _CellFaults(params, metrics)
     reps = params["reps"]
+    # A seed-free cell's repetitions are identical: simulate one, repeat it.
+    runs = 1 if seed_free("nas", params) else reps
     values = []
-    for r in range(reps):
+    for r in range(runs):
         s = rep_seed(seed, r)
         v = faults.run(run_nas_config, s, cfg, smm=params["smm"],
                        label=f"{cfg.label} rep {r + 1}/{reps}: ")
         if v is None:
             return {"values": None}
         values.append(v)
-    return faults.payload({"values": values})
+    return faults.payload({"values": values * (reps // runs)})
 
 
 def _nas_cell_attr(cfg, params: Dict, seed: int, metrics) -> Dict:

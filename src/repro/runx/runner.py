@@ -155,7 +155,9 @@ class SweepRunner:
         self._done = 0
         # Digest fast path: a journaled OK result whose content digest
         # matches a spec satisfies it even under a different id (renamed
-        # cells, re-labelled sweeps) — no worker is spawned.
+        # cells, re-labelled sweeps) — no worker is spawned.  A seed-free
+        # spec's digest has no seed, so its result also serves the same
+        # cell at another seed.
         by_digest: Dict[str, CellResult] = {}
         if completed:
             for res in completed.values():

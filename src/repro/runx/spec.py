@@ -27,6 +27,7 @@ __all__ = [
     "FAILED_IN_SIM",
     "CellSpec",
     "CellResult",
+    "seed_free",
 ]
 
 #: Terminal cell statuses.  Timeouts, crashes, corrupt output, and cell
@@ -39,6 +40,22 @@ __all__ = [
 OK = "ok"
 FAILED = "failed"
 FAILED_IN_SIM = "failed-in-sim"
+
+
+def seed_free(fn: str, params: Dict[str, Any]) -> bool:
+    """Does a cell's payload not depend on its seed?
+
+    True for a zero-SMI NAS cell with no ``faults``: the simulator's
+    RNGs draw only for SMI arrivals, SMI durations and post-SMM
+    misplacements, so such a run is the same at every seed, and so is
+    each of its repetitions.  An ``attr`` cell counts too (its ``attr``
+    param keeps its digest apart from the plain cell's).
+    ``tests/integration/test_artifact_shapes.py`` checks the invariance
+    with the RNG's draw methods patched to raise.
+    """
+    return (fn == "nas" and params.get("smm") == 0
+            and not params.get("faults"))
+
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -64,11 +81,16 @@ class CellSpec:
         ``id`` is deliberately excluded.  Two specs with equal digests
         produce identical payloads (cells are seed-deterministic), so a
         journaled result can satisfy a renamed or re-labelled cell
-        without spawning a worker."""
-        blob = json.dumps(
-            [self.fn, self.params, self.base_seed],
-            sort_keys=True, separators=(",", ":"),
-        )
+        without spawning a worker.
+
+        A :func:`seed_free` spec leaves ``base_seed`` out: it names only
+        what decides the payload, so the runner's journal, the serve
+        cache and coalescing share one result across seeds.  Every other
+        spec keeps the seed, and its digest is unchanged."""
+        work = [self.fn, self.params]
+        if not seed_free(self.fn, self.params):
+            work.append(self.base_seed)
+        blob = json.dumps(work, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     @classmethod

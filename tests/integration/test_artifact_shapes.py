@@ -18,6 +18,7 @@ stdout rounds every value; the digest does not.
 import hashlib
 import json
 import pathlib
+import random
 
 import pytest
 
@@ -28,7 +29,8 @@ from repro.harness.figure1 import assemble_figure1
 from repro.harness.figure2 import assemble_figure2
 from repro.harness.htt_tables import assemble_htt_table
 from repro.harness.mpi_tables import assemble_table, table_cell_specs
-from repro.runx import SweepRunner
+from repro.runx import SweepRunner, seed_free
+from repro.runx.cells import run_cell
 
 EXPECTED = pathlib.Path(__file__).resolve().parents[2] / "bench" / "expected"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -300,3 +302,54 @@ def test_figure2_core_scaling_and_symmetric_depression(figure2):
 @pytest.mark.slow
 def test_figure2_matches_committed_output(sweep):
     _assert_pinned("figure2", sweep("figure2"), GOLDEN / "figure2.txt")
+
+
+# -- Seed-free zero-SMI cells --------------------------------------------------
+
+def _forbid_draws(monkeypatch):
+    """Make every draw from a ``random.Random`` raise: each draw method
+    (``randint``, ``choice``, ``uniform``, ...) goes through one of
+    these two."""
+    def draw(*_args, **_kwargs):
+        raise AssertionError("a seed-free run drew from the RNG")
+
+    for name in ("random", "getrandbits"):
+        monkeypatch.setattr(random.Random, name, draw)
+
+
+def _seed_free_cells(cmd, seed, keep=lambda params: True):
+    """``{id: (digest, payload)}`` of the seed-free cells of ``cmd``'s
+    quick matrix at ``seed``, run in this process."""
+    specs_fn, _ = _sweep_builders(cmd, False)
+    return {s.id: (s.digest(), run_cell(s.fn, s.params, s.base_seed))
+            for s in specs_fn(True, 1, seed)
+            if seed_free(s.fn, s.params) and keep(s.params)}
+
+
+@pytest.mark.parametrize("cmd", ["table2", "table3"])
+def test_zero_smi_cells_never_draw_and_ignore_the_seed(cmd, monkeypatch):
+    """The seed-free digest rests on this: a zero-SMI run draws nothing
+    from its RNGs, so seeds 1, 2 and 7 give the same payload.  The cells
+    of up to 16 ranks each run in well under 0.3 s."""
+    _forbid_draws(monkeypatch)
+    with pytest.raises(AssertionError, match="drew from the RNG"):
+        run_cell("nas", {"bench": "EP", "cls": "A", "nodes": 1, "rpn": 1,
+                         "smm": 1, "reps": 1}, 1)
+    small = lambda p: p["nodes"] * p["rpn"] <= 16  # noqa: E731
+    runs = [_seed_free_cells(cmd, seed, small) for seed in (1, 2, 7)]
+    assert len(runs[0]) >= 8
+    assert runs[0] == runs[1] == runs[2]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("cmd", ["table1", "table2", "table3", "table4",
+                                 "table5"])
+def test_every_zero_smi_quick_cell_is_seed_free(cmd, sweep, monkeypatch):
+    """Every ``smm=0`` cell of the five NAS quick grids: seeds 2 and 7,
+    with RNG draws forbidden, give the seed-1 sweep's digest and
+    payload."""
+    seed1 = {cid: (r.digest, r.value) for cid, r in sweep(cmd).items()}
+    _forbid_draws(monkeypatch)
+    for seed in (2, 7):
+        got = _seed_free_cells(cmd, seed)
+        assert got and got == {cid: seed1[cid] for cid in got}, seed

@@ -126,6 +126,39 @@ def test_submit_enqueues_largest_first_and_replies_in_submit_order(
     asyncio.run(scenario())
 
 
+def test_zero_smi_cell_is_served_from_cache_at_another_seed(tmp_path):
+    """A zero-SMI NAS cell's digest leaves out its seed: the same cell at
+    seed 2 is a cache hit on the seed-1 result, byte for byte.  A noisy
+    cell keeps its seed and is computed afresh."""
+    cfg = _cfg(tmp_path)
+    ep = {"bench": "EP", "cls": "A", "nodes": 1, "rpn": 1, "reps": 1}
+
+    def spec(smm, seed):
+        return CellSpec(id=f"EP.A n=1 smm={smm}", fn="nas",
+                        params={**ep, "smm": smm}, base_seed=seed)
+
+    async def scenario():
+        daemon = ServeDaemon(cfg)
+        await daemon.start()
+        client = ServeClient(socket_path=cfg.resolved_socket())
+        first = await _call(client, client.submit,
+                            _submit_records([spec(0, 1)]))
+        again = await _call(client, client.submit,
+                            _submit_records([spec(0, 2), spec(1, 2)]))
+        await daemon.drain()
+        assert first["stats"]["submitted"] == 1
+        assert again["stats"] == {"cached": 1, "coalesced": 0,
+                                  "submitted": 1, "quarantined": 0}
+        zero, noisy = again["cells"]
+        assert zero["cached"] and not noisy.get("cached")
+        assert (json.dumps(zero["value"], sort_keys=True)
+                == json.dumps(first["cells"][0]["value"], sort_keys=True))
+        assert noisy["status"] == "ok"
+        assert _counter(daemon, "serve.jobs.completed") == 2
+
+    asyncio.run(scenario())
+
+
 def test_identical_inflight_submissions_coalesce(tmp_path):
     cfg = _cfg(tmp_path)
     spec = _spec(0, sleep_s=0.8)
