@@ -62,8 +62,9 @@ failure summary, never a traceback.  These flags tune the sweep:
   retried) while the rest of the sweep completes normally.
 * ``--attr`` — attach the noise-attribution engine to every noisy NAS
   cell: each cell's manifest record gains an ``attribution`` block
-  (slowdown decomposition, wait-state census, critical-path summary)
-  computed from a capture-enabled replay of the cell's first repetition.
+  (slowdown decomposition, wait-state census, critical-path summary),
+  joined when the sweep is assembled from the captured first repetition
+  of that cell and of its row's SMM-0 cell.
 
 SIGINT/SIGTERM during a sweep drains gracefully: in-flight
 cells finish and are journaled, then the command exits 130 with the
@@ -253,6 +254,21 @@ def _arm_specs(specs, attr: bool, plan, plan_path: Optional[str]):
     return specs
 
 
+def _join_attr(specs, results, registry):
+    """``results`` with every noisy cell's ``attribution`` block joined
+    (:func:`repro.runx.join_attribution`); names on stderr the noisy
+    cells left without one because their SMM-0 partner has no baseline."""
+    from repro.runx import join_attribution
+
+    results, unpaired = join_attribution(specs, results, registry)
+    if unpaired:
+        shown = ", ".join(unpaired[:8]) + (" …" if len(unpaired) > 8 else "")
+        print(f"{len(unpaired)} noisy cells carry no attribution (their "
+              f"SMM-0 cell failed or carries no baseline): {shown}",
+              file=sys.stderr)
+    return results
+
+
 def _default_jobs() -> int:
     """The CPUs this process may run on.  The runner starts no more
     workers than there are cells, so a small sweep spawns fewer."""
@@ -401,6 +417,9 @@ def _resilient_run(args: argparse.Namespace, specs_fn, render_fn,
         print(f"sweep drained: {len(results)}/{len(specs)} cells complete "
               f"and journaled\nresume with: {resume_hint}", file=sys.stderr)
         return 130
+    if attr:
+        results = _join_attr(specs, results, registry)
+        manifest.set_values({i: r.value for i, r in results.items()})
     print(render_fn(quick, results))
     if registry is not None:
         _print_metrics(args, registry)
@@ -750,6 +769,8 @@ def _submit(args: argparse.Namespace) -> int:
                 attempts=e.get("attempts", 1), seed=spec.base_seed,
                 error=e.get("error"), digest=e.get("digest"),
                 fault=e.get("fault"))
+    if args.attr:
+        results = _join_attr(specs, results, None)
     print(render_fn(quick, results))
     stats = rep.get("stats", {})
     print("served: "
@@ -835,9 +856,7 @@ def _serve_status(args: argparse.Namespace) -> int:
     cache = st.get("cache", {})
     print(f"cache: {cache.get('entries', 0)} entries at "
           f"{cache.get('root', '?')}")
-    counters = dict(st.get("counters", {}))
-    print(f"attr: {counters.pop('attr.baseline.hits', 0):g} baseline hits, "
-          f"{counters.pop('attr.baseline.misses', 0):g} misses")
+    counters = st.get("counters", {})
     for w in workers:
         print(f"  worker {w['slot']}: pid {w.get('pid')} {w['state']}"
               + (f" job {w['job']}" if w.get("job") else "")

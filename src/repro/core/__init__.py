@@ -6,7 +6,7 @@
   interface and TSC-based latency self-measurement.
 * :mod:`detector` — hwlat-style spin-gap SMI detection with the BIOSBITS
   150 µs threshold; has a host-native twin for real machines.
-* :mod:`experiment` — the paper's methodology: repetitions and their
+* :mod:`experiment` — the paper's methodology: the repetitions'
   positional seeds.
 * :mod:`calibration` — fits of machine/network constants to the paper's
   SMM-0 base times.
@@ -15,7 +15,6 @@
 from repro.core.smi import SmiProfile, SmiSource, SmiDurations
 from repro.core.driver import BlackboxSmiDriver
 from repro.core.detector import GapDetector, DetectorReport
-from repro.core.experiment import run_repeated
 
 __all__ = [
     "SmiProfile",
@@ -24,5 +23,4 @@ __all__ = [
     "BlackboxSmiDriver",
     "GapDetector",
     "DetectorReport",
-    "run_repeated",
 ]

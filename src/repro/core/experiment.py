@@ -6,19 +6,14 @@ three cases: no SMI activity, short SMIs, and long SMIs."  Its tables then
 show, per configuration, the base mean, and for each SMI class the mean,
 the absolute delta (Δ) and the percent change (%).
 
-This module holds the repetition loop and the positional seed
-derivations every cell executor (:mod:`repro.runx.cells`) and table
-builder (:mod:`repro.harness`) shares.
+This module holds the positional seed derivations every cell executor
+(:mod:`repro.runx.cells`, which runs the repetitions) and table builder
+(:mod:`repro.harness`) shares.
 """
 
 from __future__ import annotations
 
-import logging
-from typing import Callable, List, Optional
-
-__all__ = ["run_repeated", "rep_seed", "smm_cell_seed"]
-
-log = logging.getLogger(__name__)
+__all__ = ["rep_seed", "smm_cell_seed"]
 
 #: Per-repetition and per-SMI-class seed strides.  These are *positional*
 #: derivations — a cell's seeds depend only on where it sits in the
@@ -38,27 +33,4 @@ def rep_seed(base_seed: int, rep: int) -> int:
 def smm_cell_seed(seed: int, smm: int, htt: bool = False) -> int:
     """Base seed of the (smm, htt) cell of a table row."""
     return seed + SMM_SEED_STRIDE * smm + (HTT_SEED_OFFSET if htt else 0)
-
-
-def run_repeated(
-    runner: Callable[[int], Optional[float]],
-    reps: int,
-    base_seed: int = 1,
-) -> Optional[List[float]]:
-    """Run ``runner(seed)`` ``reps`` times with distinct seeds.
-
-    Returns the values in repetition order, or None if the first
-    repetition reports infeasibility (None) — infeasibility is
-    configuration-determined, not seed-determined.
-    """
-    values: List[float] = []
-    for r in range(reps):
-        seed = rep_seed(base_seed, r)
-        v = runner(seed)
-        if v is None:
-            log.debug("rep %d/%d seed=%d: infeasible", r + 1, reps, seed)
-            return None
-        log.debug("rep %d/%d seed=%d: %.6fs", r + 1, reps, seed, v)
-        values.append(v)
-    return values
 

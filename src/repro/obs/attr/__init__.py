@@ -14,15 +14,8 @@ whole pipeline for one table cell; ``repro-smm explain`` renders it.
 from repro.obs.attr.capture import AttrCapture
 from repro.obs.attr.profile import RunProfile, build_profile
 from repro.obs.attr.critical import CriticalPath, critical_path
-from repro.obs.attr.decompose import Decomposition, decompose
+from repro.obs.attr.decompose import Decomposition, decompose, projection
 from repro.obs.attr.explain import CellAttribution, attribute_cell, render_explain
-from repro.obs.attr.baseline import (
-    BaselineProfile,
-    BaselineStore,
-    baseline_digest,
-    global_store,
-    reset_global_store,
-)
 
 __all__ = [
     "AttrCapture",
@@ -32,12 +25,8 @@ __all__ = [
     "critical_path",
     "Decomposition",
     "decompose",
+    "projection",
     "CellAttribution",
     "attribute_cell",
     "render_explain",
-    "BaselineProfile",
-    "BaselineStore",
-    "baseline_digest",
-    "global_store",
-    "reset_global_store",
 ]

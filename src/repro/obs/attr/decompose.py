@@ -32,10 +32,11 @@ components that sum to the measured delta by construction:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Dict
 
 from repro.obs.attr.profile import RunProfile
 
-__all__ = ["Decomposition", "decompose"]
+__all__ = ["Decomposition", "decompose", "projection"]
 
 
 @dataclass
@@ -54,37 +55,52 @@ class Decomposition:
     residual_frac: float
     tolerance: float
     conserved: bool
-    terminal_rank: int
-    terminal_node: str
 
 
-def decompose(noisy: RunProfile, base, tolerance: float = 0.05
-              ) -> Decomposition:
-    """Split ``noisy - base`` along the noisy run's terminal rank.
+def projection(prof: RunProfile) -> Dict[str, Any]:
+    """What :func:`decompose` reads of one run, as plain JSON.
 
-    ``base`` is the zero-SMI reference: either a full
-    :class:`RunProfile` or any profile-like object exposing ``ranks``
-    (with per-rank ``wait_ns``/``queue_ns``/``smm_wait_ns``/
-    ``stolen_ns``/``true_ns``), ``elapsed_app_s`` and ``span_ns`` — in
-    particular the memoized
-    :class:`~repro.obs.attr.baseline.BaselineProfile` projection, which
-    preserves those fields bit-for-bit, so a decomposition against a
-    cached baseline equals one against the fresh run."""
-    r = noisy.terminal_rank
-    if r not in base.ranks:
+    ``elapsed_app_s``, ``span_ns`` and, per rank (keyed by ``str(rank)``),
+    the five totals ``[wait, queue, smm_wait, stolen, true]`` in ns.
+    Every number is copied as is, and JSON round-trips them exactly, so
+    a decomposition read from a journaled projection equals one read
+    from the live profile."""
+    return {
+        "elapsed_app_s": prof.elapsed_app_s,
+        "span_ns": prof.span_ns,
+        "ranks": {
+            str(r): [rp.wait_ns, rp.queue_ns, rp.smm_wait_ns, rp.stolen_ns,
+                     rp.true_ns]
+            for r, rp in prof.ranks.items()
+        },
+    }
+
+
+def _elapsed_s(run: Dict[str, Any]) -> float:
+    if run["elapsed_app_s"] is not None:
+        return run["elapsed_app_s"]
+    return run["span_ns"] / 1e9
+
+
+def decompose(noisy: Dict[str, Any], base: Dict[str, Any], rank: int,
+              tolerance: float = 0.05) -> Decomposition:
+    """Split ``noisy - base`` along the noisy run's terminal ``rank``.
+
+    Both runs are :func:`projection` s; ``base`` is the zero-SMI run of
+    the same configuration."""
+    key = str(rank)
+    if key not in base["ranks"]:
         raise ValueError(
-            f"baseline profile has no rank {r}; runs are not comparable")
-    rn, rb = noisy.ranks[r], base.ranks[r]
-    baseline_s = base.elapsed_app_s if base.elapsed_app_s is not None else (
-        base.span_ns / 1e9)
-    noisy_s = noisy.elapsed_app_s if noisy.elapsed_app_s is not None else (
-        noisy.span_ns / 1e9)
+            f"baseline profile has no rank {rank}; runs are not comparable")
+    wn, qn, sn, stn, tn = noisy["ranks"][key]
+    wb, qb, sb, stb, tb = base["ranks"][key]
+    baseline_s = _elapsed_s(base)
+    noisy_s = _elapsed_s(noisy)
     slowdown = noisy_s - baseline_s
-    direct = (rn.stolen_ns - rb.stolen_ns + rn.smm_wait_ns - rb.smm_wait_ns) / 1e9
-    nic = (rn.queue_ns - rb.queue_ns) / 1e9
-    induced = ((rn.wait_ns - rn.queue_ns - rn.smm_wait_ns)
-               - (rb.wait_ns - rb.queue_ns - rb.smm_wait_ns)) / 1e9
-    cpu_drift = (rn.true_ns - rb.true_ns) / 1e9
+    direct = (stn - stb + sn - sb) / 1e9
+    nic = (qn - qb) / 1e9
+    induced = ((wn - qn - sn) - (wb - qb - sb)) / 1e9
+    cpu_drift = (tn - tb) / 1e9
     contention = nic + cpu_drift
     residual = slowdown - direct - induced - contention
     denom = max(abs(slowdown), 0.01 * max(baseline_s, 1e-9), 1e-9)
@@ -102,6 +118,4 @@ def decompose(noisy: RunProfile, base, tolerance: float = 0.05
         residual_frac=frac,
         tolerance=tolerance,
         conserved=frac <= tolerance,
-        terminal_rank=r,
-        terminal_node=rn.node,
     )

@@ -7,19 +7,26 @@ critical path, and decomposes the slowdown.  The resulting ``report``
 dict is pure JSON data, deterministic for a given (params, seed): it is
 what lands in the runx manifest's per-cell ``attribution`` block and
 what ``repro-smm explain`` renders.
+
+A report is built in two halves, so a sweep can compute them in
+different cells: :func:`noisy_record` holds everything the noisy run
+alone decides, and :func:`finish_report` differences it against the
+zero-SMI run's :func:`~repro.obs.attr.decompose.projection`.
+:func:`attribute_cell` goes through the same two calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.obs.attr.capture import AttrCapture
 from repro.obs.attr.critical import CriticalPath, critical_path
-from repro.obs.attr.decompose import Decomposition, decompose
+from repro.obs.attr.decompose import Decomposition, decompose, projection
 from repro.obs.attr.profile import RunProfile, build_profile
 
-__all__ = ["CellAttribution", "attribute_cell", "render_explain"]
+__all__ = ["CellAttribution", "attribute_cell", "count_report",
+           "finish_report", "noisy_record", "render_explain"]
 
 
 def _duty_nominal(smm: int, interval_jiffies: int) -> float:
@@ -38,21 +45,12 @@ def _duty_nominal(smm: int, interval_jiffies: int) -> float:
 
 @dataclass
 class CellAttribution:
-    """Everything :func:`attribute_cell` produced for one cell.
-
-    ``base`` is the full baseline :class:`RunProfile` when the baseline
-    was simulated in this call, or the memoized
-    :class:`~repro.obs.attr.baseline.BaselineProfile` projection when it
-    came out of the shared-baseline store (the decomposition is
-    identical either way — the projection preserves every field
-    ``decompose`` reads, bit for bit).
-    """
+    """Everything :func:`attribute_cell` produced for one cell."""
 
     report: Dict[str, Any]
     decomposition: Decomposition
     critical: CriticalPath
     noisy: RunProfile
-    base: Any
     noisy_timeline: Any = None
 
 
@@ -68,36 +66,10 @@ def attribute_cell(
     metrics=None,
     trace: bool = False,
     tolerance: float = 0.05,
-    baselines=None,
-    baseline_seed: Optional[int] = None,
-    noisy_capture: Optional[AttrCapture] = None,
-    noisy_timeline=None,
 ) -> Optional[CellAttribution]:
-    """Run + attribute one cell; None for infeasible configurations.
-
-    ``baselines`` is the :class:`~repro.obs.attr.baseline.BaselineStore`
-    to memoize the zero-SMI run through; ``None`` uses the process-wide
-    store, so every noisy class of one configuration within a process
-    (a persistent worker included, across the cells it runs) pays for
-    exactly one baseline simulation.
-
-    ``baseline_seed`` keys (and seeds) the zero-SMI run; ``None`` uses
-    the noisy ``seed``.  The zero-SMI simulation is seed-deterministic,
-    so a sweep may point every SMI class of one configuration at a
-    canonical baseline seed — the table's SMM-0 column — and share a
-    single baseline run without changing a bit of any report
-    (:func:`repro.runx.cells.nas_cell` does exactly that).
-
-    ``noisy_capture`` (with ``noisy_timeline``) is an already-populated
-    capture of the noisy run at this exact (params, seed); when given,
-    the noisy simulation is not repeated.  The capture layer is passive,
-    so a capture taken during a sweep's first repetition is
-    byte-identical to a dedicated replay.
-    """
+    """Run + attribute one cell; None for infeasible configurations."""
     from repro.apps.nas.params import NasClass
     from repro.apps.nas.study import NasConfig, run_nas_config
-    from repro.obs.attr.baseline import (
-        BaselineProfile, baseline_digest, global_store)
     from repro.simx.timeline import Timeline
 
     if smm <= 0:
@@ -106,59 +78,52 @@ def attribute_cell(
     if isinstance(cls, str):
         cls = NasClass(cls.upper())
     cfg = NasConfig(bench, cls, nodes=nodes, ranks_per_node=rpn, htt=htt)
-    store = baselines if baselines is not None else global_store()
-    bseed = seed if baseline_seed is None else int(baseline_seed)
-    digest = baseline_digest(
-        cfg.bench, cfg.cls.value, nodes, rpn, htt, bseed)
-    base = store.get(digest)
-    if base is None:
-        base_cap = AttrCapture(metrics=metrics)
-        base_s = run_nas_config(
-            cfg, smm=0, seed=bseed, interval_jiffies=interval_jiffies,
-            timeline=Timeline(), metrics=metrics, attr=base_cap,
-        )
-        if base_s is None:
-            return None
-        base = build_profile(base_cap)
-        store.put(digest, BaselineProfile.from_profile(base))
-        if metrics is not None:
-            metrics.counter(
-                "attr.baseline.misses", "baseline runs simulated").inc()
-    elif metrics is not None:
-        metrics.counter(
-            "attr.baseline.hits",
-            "baseline runs satisfied from the shared store").inc()
-    if noisy_capture is not None:
-        noisy_cap, noisy_tl = noisy_capture, noisy_timeline
-    else:
-        noisy_cap = AttrCapture(metrics=metrics)
-        noisy_tl = Timeline()
-        run_nas_config(
-            cfg, smm=smm, seed=seed, interval_jiffies=interval_jiffies,
-            timeline=noisy_tl, metrics=metrics, attr=noisy_cap, trace=trace,
-        )
-    noisy = build_profile(noisy_cap)
-    dec = decompose(noisy, base, tolerance=tolerance)
-    cp = critical_path(noisy)
-    report = _report(cfg, smm, seed, interval_jiffies, dec, cp, noisy)
-    if metrics is not None:
-        metrics.counter("attr.cells", "cells attributed").inc()
-        if not dec.conserved:
-            metrics.counter(
-                "attr.conservation_violations",
-                "decompositions whose residual exceeded tolerance").inc()
-    return CellAttribution(
-        report=report, decomposition=dec, critical=cp,
-        noisy=noisy, base=base, noisy_timeline=noisy_tl,
+    base_cap = AttrCapture(metrics=metrics)
+    base_s = run_nas_config(
+        cfg, smm=0, seed=seed, interval_jiffies=interval_jiffies,
+        timeline=Timeline(), metrics=metrics, attr=base_cap,
     )
+    if base_s is None:
+        return None
+    base = projection(build_profile(base_cap))
+    noisy_cap = AttrCapture(metrics=metrics)
+    noisy_tl = Timeline()
+    run_nas_config(
+        cfg, smm=smm, seed=seed, interval_jiffies=interval_jiffies,
+        timeline=noisy_tl, metrics=metrics, attr=noisy_cap, trace=trace,
+    )
+    noisy = build_profile(noisy_cap)
+    cp = critical_path(noisy)
+    report, dec = finish_report(
+        noisy_record(cfg, smm, seed, noisy, cp, interval_jiffies), base,
+        tolerance=tolerance)
+    if metrics is not None:
+        count_report(metrics, report)
+    return CellAttribution(report=report, decomposition=dec, critical=cp,
+                           noisy=noisy, noisy_timeline=noisy_tl)
+
+
+def count_report(metrics, report: Dict[str, Any]) -> None:
+    """Count one finished report in ``attr.cells`` and, when its
+    residual exceeded tolerance, ``attr.conservation_violations``."""
+    metrics.counter("attr.cells", "cells attributed").inc()
+    if not report["conservation"]["ok"]:
+        metrics.counter(
+            "attr.conservation_violations",
+            "decompositions whose residual exceeded tolerance").inc()
 
 
 def _r(x: float, digits: int = 6) -> float:
     return round(float(x), digits)
 
 
-def _report(cfg, smm, seed, interval_jiffies, dec: Decomposition,
-            cp: CriticalPath, noisy: RunProfile) -> Dict[str, Any]:
+def noisy_record(cfg, smm: int, seed: int, noisy: RunProfile,
+                 cp: CriticalPath,
+                 interval_jiffies: int = 1000) -> Dict[str, Any]:
+    """The noisy run's half of a report, as plain JSON: the report
+    fields the noisy run alone decides (``head`` and ``tail``, in
+    report order), its terminal rank and its
+    :func:`~repro.obs.attr.decompose.projection` (``run``)."""
     ls_n = ls_s = lr_n = co_n = co_s = 0
     by_op: Dict[str, int] = {}
     for rp in noisy.ranks.values():
@@ -176,28 +141,78 @@ def _report(cfg, smm, seed, interval_jiffies, dec: Decomposition,
                 co_n += 1
     queue_s = sum(rp.queue_ns for rp in noisy.ranks.values()) / 1e9
     gate_s = sum(rp.gate_ns for rp in noisy.ranks.values()) / 1e9
+    rank = noisy.terminal_rank
     return {
-        "bench": cfg.bench,
-        "class": cfg.cls.value,
-        "nodes": cfg.nodes,
-        "rpn": cfg.ranks_per_node,
-        "htt": cfg.htt,
-        "smm": smm,
-        "seed": seed,
-        "interval_jiffies": interval_jiffies,
+        "head": {
+            "bench": cfg.bench,
+            "class": cfg.cls.value,
+            "nodes": cfg.nodes,
+            "rpn": cfg.ranks_per_node,
+            "htt": cfg.htt,
+            "smm": smm,
+            "seed": seed,
+            "interval_jiffies": interval_jiffies,
+        },
+        "duty_measured_pct": _r(100.0 * noisy.duty_measured(), 2),
+        "terminal_rank": rank,
+        "terminal_node": noisy.ranks[rank].node,
+        "run": projection(noisy),
+        "tail": {
+            "wait_states": {
+                "late_sender": {"count": ls_n, "seconds": _r(ls_s / 1e9)},
+                "late_receiver": {"count": lr_n},
+                "collective": {
+                    "count": co_n,
+                    "seconds": _r(co_s / 1e9),
+                    "by_op": {op: _r(ns / 1e9)
+                              for op, ns in sorted(by_op.items())},
+                },
+                "nic_queue_s": _r(queue_s),
+                "receiver_gate_s": _r(gate_s),
+            },
+            "misplacements": sum(noisy.misplacements.values()),
+            "critical_path": {
+                "segments": len(cp.segments),
+                "ranks": cp.ranks_visited,
+                "nodes": cp.nodes_visited(noisy),
+                "compute_s": _r(cp.compute_ns / 1e9),
+                "wait_s": _r(cp.wait_ns / 1e9),
+                "direct_theft_s": _r(cp.direct_theft_ns / 1e9),
+                "theft_behind_waits_s": _r(cp.theft_behind_waits_ns / 1e9),
+            },
+            "per_rank": [
+                [r, _r(noisy.ranks[r].wait_ns / 1e9),
+                 _r(noisy.ranks[r].stolen_ns / 1e9)]
+                for r in sorted(noisy.ranks)
+            ],
+        },
+    }
+
+
+def finish_report(noisy: Dict[str, Any], base: Dict[str, Any],
+                  tolerance: float = 0.05
+                  ) -> Tuple[Dict[str, Any], Decomposition]:
+    """The report of a :func:`noisy_record` differenced against the
+    zero-SMI ``base`` projection of the same configuration."""
+    head = noisy["head"]
+    dec = decompose(noisy["run"], base, noisy["terminal_rank"],
+                    tolerance=tolerance)
+    duty = _duty_nominal(head["smm"], head["interval_jiffies"])
+    return {
+        **head,
         "baseline_s": _r(dec.baseline_s),
         "noisy_s": _r(dec.noisy_s),
         "slowdown_s": _r(dec.slowdown_s),
         "slowdown_pct": _r(100.0 * dec.slowdown_s / dec.baseline_s, 2),
-        "duty_nominal_pct": _r(100.0 * _duty_nominal(smm, interval_jiffies), 2),
-        "duty_measured_pct": _r(100.0 * noisy.duty_measured(), 2),
+        "duty_nominal_pct": _r(100.0 * duty, 2),
+        "duty_measured_pct": noisy["duty_measured_pct"],
         # The paper's tax-vs-amplification split: direct theft as a share
         # of the noisy runtime lands near the duty cycle; everything past
         # it is amplification (mostly induced wait).
         "direct_share_of_runtime_pct": _r(
             100.0 * dec.direct_s / max(dec.noisy_s, 1e-9), 2),
-        "terminal_rank": dec.terminal_rank,
-        "terminal_node": dec.terminal_node,
+        "terminal_rank": noisy["terminal_rank"],
+        "terminal_node": noisy["terminal_node"],
         "components": {
             "direct_smi_s": _r(dec.direct_s),
             "induced_wait_s": _r(dec.induced_s),
@@ -213,33 +228,8 @@ def _report(cfg, smm, seed, interval_jiffies, dec: Decomposition,
             "tolerance": dec.tolerance,
             "ok": dec.conserved,
         },
-        "wait_states": {
-            "late_sender": {"count": ls_n, "seconds": _r(ls_s / 1e9)},
-            "late_receiver": {"count": lr_n},
-            "collective": {
-                "count": co_n,
-                "seconds": _r(co_s / 1e9),
-                "by_op": {op: _r(ns / 1e9) for op, ns in sorted(by_op.items())},
-            },
-            "nic_queue_s": _r(queue_s),
-            "receiver_gate_s": _r(gate_s),
-        },
-        "misplacements": sum(noisy.misplacements.values()),
-        "critical_path": {
-            "segments": len(cp.segments),
-            "ranks": cp.ranks_visited,
-            "nodes": cp.nodes_visited(noisy),
-            "compute_s": _r(cp.compute_ns / 1e9),
-            "wait_s": _r(cp.wait_ns / 1e9),
-            "direct_theft_s": _r(cp.direct_theft_ns / 1e9),
-            "theft_behind_waits_s": _r(cp.theft_behind_waits_ns / 1e9),
-        },
-        "per_rank": [
-            [r, _r(noisy.ranks[r].wait_ns / 1e9),
-             _r(noisy.ranks[r].stolen_ns / 1e9)]
-            for r in sorted(noisy.ranks)
-        ],
-    }
+        **noisy["tail"],
+    }, dec
 
 
 def _bar(value: float, total: float, width: int = 32) -> str:

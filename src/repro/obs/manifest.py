@@ -144,6 +144,14 @@ class RunManifest:
             **result,
         })
 
+    def set_values(self, values: Dict) -> None:
+        """Replace the ``value`` of each recorded cell ``values`` names by
+        label — the payloads as the sweep assembled them (attribution
+        joined), where :meth:`add_cell` saw each cell's own payload."""
+        for cell in self.cells:
+            if cell["label"] in values:
+                cell["value"] = values[cell["label"]]
+
     # -- output ---------------------------------------------------------------
     def elapsed_monotonic_s(self) -> float:
         """Seconds of honest (monotonic-clock) run time so far."""

@@ -8,7 +8,8 @@ cell costs one cell — not the sweep:
 
 * :mod:`repro.runx.spec` — JSON-able :class:`CellSpec`/:class:`CellResult`
   with position-derived seeds (parallel == serial, bit for bit);
-* :mod:`repro.runx.cells` — the executor registry worker subprocesses use;
+* :mod:`repro.runx.cells` — the executor registry worker subprocesses use,
+  and :func:`join_attribution`, which assembles ``--attr`` blocks;
 * :mod:`repro.runx.runner` — :class:`SweepRunner`: subprocess crash
   isolation, watchdog timeouts, bounded deterministic retries, ``jobs``-way
   parallelism;
@@ -20,6 +21,7 @@ cell costs one cell — not the sweep:
   corrupt / flake plans) CI uses to prove all of the above.
 """
 
+from repro.runx.cells import join_attribution
 from repro.runx.journal import (
     Journal,
     iter_records,
@@ -53,4 +55,5 @@ __all__ = [
     "FAILED",
     "FAILED_IN_SIM",
     "seed_free",
+    "join_attribution",
 ]

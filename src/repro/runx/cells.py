@@ -14,15 +14,16 @@ resumed, inline, and served sweeps bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.experiment import SMM_SEED_STRIDE, rep_seed, run_repeated
+from repro.core.experiment import rep_seed
 from repro.runx.spec import seed_free
 
 __all__ = ["resolve", "run_cell", "dispatch_order", "fault_domain",
-           "REGISTRY"]
+           "join_attribution", "REGISTRY"]
 
 CellFn = Callable[..., Dict[str, Any]]
 
@@ -42,14 +43,16 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
     :class:`_CellFaults`, as every figure executor's runs do.
 
     When the spec carries ``params["attr"]`` (the harness's ``--attr``
-    rewrite) each noisy cell additionally runs the attribution engine and
-    attaches the resulting ``attribution`` report to the payload —
-    omitted for infeasible, zero-SMI and faulted cells (a faulted run is
-    not comparable with the clean baseline it would be differenced
-    against).  The capture layer is passive, so the averaged ``values``
-    stay bit-identical to a sweep without ``--attr``; see
-    :func:`_nas_cell_attr` for how an attributed sweep shares its
-    zero-SMI work across cells.
+    rewrite) and no faults, the first repetition runs with the
+    attribution capture attached (it is passive, so ``values`` stay
+    bit-identical to a sweep without ``--attr``) and the payload carries
+    that run's half of the attribution: ``attr_base``, the zero-SMI
+    projection, on an ``smm == 0`` cell, and ``attr_noisy``, the noisy
+    record, on any other.  :func:`join_attribution` turns the two into
+    the noisy cell's ``attribution`` block when the sweep is assembled,
+    so a quick attributed group of three cells runs three simulations.
+    A faulted cell carries neither: its run is not comparable with the
+    clean baseline.
     """
     from repro.apps.nas.params import NasClass
     from repro.apps.nas.study import NasConfig, run_nas_config
@@ -58,105 +61,83 @@ def nas_cell(params: Dict, seed: int, metrics=None) -> Dict:
         params["bench"], NasClass(params["cls"]), nodes=params["nodes"],
         ranks_per_node=params["rpn"], htt=params.get("htt", False),
     )
-    if params.get("attr") and not params.get("faults"):
-        return _nas_cell_attr(cfg, params, seed, metrics)
     faults = _CellFaults(params, metrics)
-    reps = params["reps"]
+    smm, reps = params["smm"], params["reps"]
+    capture: Dict[str, Any] = {}
+    if params.get("attr") and not params.get("faults"):
+        from repro.obs.attr.capture import AttrCapture
+        from repro.simx.timeline import Timeline
+
+        capture = {"attr": AttrCapture(metrics=metrics),
+                   "timeline": Timeline()}
     # A seed-free cell's repetitions are identical: simulate one, repeat it.
     runs = 1 if seed_free("nas", params) else reps
     values = []
     for r in range(runs):
         s = rep_seed(seed, r)
-        v = faults.run(run_nas_config, s, cfg, smm=params["smm"],
-                       label=f"{cfg.label} rep {r + 1}/{reps}: ")
+        v = faults.run(run_nas_config, s, cfg, smm=smm,
+                       label=f"{cfg.label} rep {r + 1}/{reps}: ",
+                       **(capture if r == 0 else {}))
         if v is None:
             return {"values": None}
         values.append(v)
-    return faults.payload({"values": values * (reps // runs)})
+    out = faults.payload({"values": values * (reps // runs)})
+    if capture:
+        from repro.obs.attr.critical import critical_path
+        from repro.obs.attr.decompose import projection
+        from repro.obs.attr.explain import noisy_record
+        from repro.obs.attr.profile import build_profile
+
+        prof = build_profile(capture["attr"])
+        if smm:
+            out["attr_noisy"] = noisy_record(
+                cfg, smm, rep_seed(seed, 0), prof, critical_path(prof))
+        else:
+            out["attr_base"] = projection(prof)
+    return out
 
 
-def _nas_cell_attr(cfg, params: Dict, seed: int, metrics) -> Dict:
-    """The attributed twin of :func:`nas_cell`'s repetition loop, built
-    around the shared-baseline store (:mod:`repro.obs.attr.baseline`).
+def _attr_group(params: Dict) -> Tuple:
+    """The configuration every SMI class of one table row shares."""
+    return (params["bench"], params["cls"], params["nodes"], params["rpn"],
+            params.get("htt", False))
 
-    The table harnesses derive cell seeds as ``smm_cell_seed(sweep_seed,
-    smm)`` — a fixed stride per SMI class — so subtracting the stride
-    recovers the sweep's SMM-0 column seed.  That seed is the canonical
-    baseline key every SMI class of one configuration shares: the
-    zero-SMI simulation is seed-deterministic (pinned by
-    ``tests/obs/test_attr_baseline.py``), so the shared run is
-    byte-identical to the per-cell replays it replaces.  Concretely:
 
-    * an ``smm == 0`` cell runs its (identical) repetitions once, with
-      capture attached, and publishes the profile to the store;
-    * a noisy cell reuses its *first repetition* as the attribution
-      capture (the capture layer is passive) and differences against the
-      stored baseline — on a hit it runs zero extra simulations.
+def join_attribution(specs: Sequence, results: Dict[str, Any],
+                     metrics=None) -> Tuple[Dict[str, Any], List[str]]:
+    """Finish each attributed noisy cell's ``attribution`` block from its
+    own ``attr_noisy`` record and the ``attr_base`` projection of the
+    ``smm == 0`` cell of the same configuration, and strip both unjoined
+    blocks.  Returns ``(results, unpaired)``: new
+    :class:`~repro.runx.spec.CellResult` s (the inputs are not touched),
+    and the ids of noisy cells whose partner failed or carries no
+    projection — those keep their ``values`` and get no ``attribution``.
+    Each report is counted in ``metrics`` (``attr.cells``,
+    ``attr.conservation_violations``)."""
+    from repro.obs.attr.explain import count_report, finish_report
 
-    A quick attributed table sweep thus runs 3 simulations per
-    (class, row, rpn) group where it used to run 7.
-    """
-    from repro.apps.nas.study import run_nas_config
-    from repro.obs.attr import attribute_cell
-    from repro.obs.attr.baseline import (
-        BaselineProfile, baseline_digest, global_store)
-    from repro.obs.attr.capture import AttrCapture
-    from repro.obs.attr.profile import build_profile
-    from repro.simx.timeline import Timeline
-
-    smm = params["smm"]
-    reps = params["reps"]
-    if not smm:
-        # The SMM-0 column *is* the baseline: one capture-enabled run
-        # serves this cell's repetitions (identical by determinism) and
-        # seeds the store for every noisy class of this configuration.
-        store = global_store()
-        digest = baseline_digest(
-            cfg.bench, cfg.cls.value, cfg.nodes, cfg.ranks_per_node,
-            cfg.htt, seed)
-        prof = store.get(digest)
-        v = prof.elapsed_app_s if prof is not None else None
-        if v is None:
-            cap = AttrCapture(metrics=metrics)
-            v = run_nas_config(cfg, smm=0, seed=rep_seed(seed, 0),
-                               timeline=Timeline(), metrics=metrics,
-                               attr=cap)
-            if v is None:
-                return {"values": None}
-            store.put(digest, BaselineProfile.from_profile(
-                build_profile(cap)))
-            if metrics is not None:
-                metrics.counter(
-                    "attr.baseline.misses", "baseline runs simulated").inc()
-        elif metrics is not None:
-            metrics.counter(
-                "attr.baseline.hits",
-                "baseline runs satisfied from the shared store").inc()
-        return {"values": [v] * reps}
-
-    cap = AttrCapture(metrics=metrics)
-    timeline = Timeline()
-
-    def _rep(s: int) -> Optional[float]:
-        if s == rep_seed(seed, 0):
-            return run_nas_config(cfg, smm=smm, seed=s, metrics=metrics,
-                                  timeline=timeline, attr=cap)
-        return run_nas_config(cfg, smm=smm, seed=s, metrics=metrics)
-
-    values = run_repeated(_rep, reps=reps, base_seed=seed)
-    payload: Dict[str, Any] = {"values": values}
-    if values is not None:
-        a = attribute_cell(
-            params["bench"], cls=params["cls"], nodes=params["nodes"],
-            rpn=params["rpn"], smm=smm,
-            seed=rep_seed(seed, 0), htt=params.get("htt", False),
-            metrics=metrics,
-            baseline_seed=seed - SMM_SEED_STRIDE * smm,
-            noisy_capture=cap, noisy_timeline=timeline,
-        )
-        if a is not None:
-            payload["attribution"] = a.report
-    return payload
+    by_id = {s.id: s for s in specs}
+    bases = {_attr_group(by_id[cid].params): res.value["attr_base"]
+             for cid, res in results.items()
+             if res.value and "attr_base" in res.value}
+    joined, unpaired = dict(results), []
+    for cid, res in results.items():
+        value = res.value or {}
+        if "attr_base" not in value and "attr_noisy" not in value:
+            continue
+        out = {k: v for k, v in value.items()
+               if k not in ("attr_base", "attr_noisy")}
+        if "attr_noisy" in value:
+            base = bases.get(_attr_group(by_id[cid].params))
+            if base is None:
+                unpaired.append(cid)
+            else:
+                report, _ = finish_report(value["attr_noisy"], base)
+                out["attribution"] = report
+                if metrics is not None:
+                    count_report(metrics, report)
+        joined[cid] = dataclasses.replace(res, value=out)
+    return joined, sorted(unpaired)
 
 
 class _CellFaults:

@@ -14,11 +14,8 @@ stdout → ``{"kind": "ready", "pid": ...}`` once, after the imports,
 
 A result carries the payload (``value``) or the in-band failure
 (``error``; ``failed_in_sim`` + ``fault`` for a deterministic in-sim
-death), plus this job's own deltas: the hit/miss counts of the
-process-wide baseline store (which lives as long as the worker, so
-later attr cells reuse the zero-SMI runs of earlier ones) and — with
-``"metrics": true`` — the snapshot of a registry created for this job
-alone.
+death), plus — with ``"metrics": true`` — the snapshot of a registry
+created for this job alone.
 Heartbeats let a supervisor tell a frozen interpreter from a slow cell.
 EOF on stdin is the shutdown signal: the worker exits 0.
 
@@ -94,16 +91,6 @@ def _malloc_trim() -> Optional[Callable[[int], int]]:
     return trim
 
 
-def _baseline_stats() -> tuple:
-    """Current (hits, misses) of the process-wide baseline store, without
-    importing it into jobs that never touch attribution."""
-    mod = sys.modules.get("repro.obs.attr.baseline")
-    if mod is None:
-        return 0, 0
-    store = mod.global_store()
-    return store.hits, store.misses
-
-
 def _run_job(req: Dict[str, Any], emitter: _Emitter,
              plan: Optional[FaultPlan]) -> None:
     from repro.faults import FaultedRunError
@@ -127,17 +114,12 @@ def _run_job(req: Dict[str, Any], emitter: _Emitter,
         if rule is not None:
             apply_fault(rule)  # kill never returns; others raise SystemExit
 
-    h0, m0 = _baseline_stats()
     registry = MetricsRegistry() if req.get("metrics") else None
 
     result: Dict[str, Any] = {"kind": "result", "id": job_id}
     try:
         result.update(ok=True, value=run_cell(
             fn, spec.get("params", {}), seed, metrics=registry))
-        # The store outlives the job, so the tally is differenced.
-        h1, m1 = _baseline_stats()
-        if (h1, m1) != (h0, m0):
-            result["baseline_stats"] = {"hits": h1 - h0, "misses": m1 - m0}
     except FaultedRunError as exc:
         # Deterministic in-sim death: terminal, never worth a retry.
         result.update(ok=False, failed_in_sim=True, error=str(exc),

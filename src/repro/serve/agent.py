@@ -344,8 +344,7 @@ class WorkerAgent:
     @staticmethod
     def _result_fields(rec: Dict[str, Any]) -> Dict[str, Any]:
         return {k: rec[k] for k in
-                ("ok", "value", "error", "failed_in_sim", "fault",
-                 "baseline_stats")
+                ("ok", "value", "error", "failed_in_sim", "fault")
                 if k in rec}
 
     def _deliver(self, digest: str, token: int,

@@ -29,13 +29,12 @@ creation time) so a served result can say where its bytes came from —
 the same Hunold & Carpen-Amarie argument the run manifests make.
 
 The store is **bounded**: ``REPRO_SERVE_CACHE_MAX`` (or the
-``max_entries`` argument) caps the entry count with LRU eviction,
-mirroring the `BaselineStore`/`SnapshotStore` pattern — recency is
-tracked in an in-memory index (seeded from file mtimes at boot, bumped
-on every verified hit) and overflow evicts the coldest entries, counted
-in ``serve.cache.evictions``.  The default is unbounded: evicting a
-deterministic result only ever costs a recompute, so the cap is an
-operator disk-budget knob, not a correctness feature.
+``max_entries`` argument) caps the entry count with LRU eviction:
+recency is tracked in an in-memory index (seeded from file mtimes at
+boot, bumped on every verified hit) and overflow evicts the coldest
+entries, counted in ``serve.cache.evictions``.  The default is
+unbounded: evicting a deterministic result only ever costs a recompute,
+so the cap is an operator disk-budget knob, not a correctness feature.
 """
 
 from __future__ import annotations

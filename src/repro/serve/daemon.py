@@ -200,13 +200,6 @@ class ServeDaemon:
             "serve.workers.hb_lost", "workers killed for missing heartbeats")
         self._c_garbage = m.counter(
             "serve.protocol.garbage", "unparsable lines read from workers")
-        # The sums of the per-job baseline_stats that agents report; the
-        # stores themselves stay in the workers.
-        self._c_bl_hits = m.counter(
-            "attr.baseline.hits",
-            "baseline runs satisfied from the shared store")
-        self._c_bl_misses = m.counter(
-            "attr.baseline.misses", "baseline runs simulated")
 
     # -- lifecycle ------------------------------------------------------------
     async def start(self) -> None:
@@ -534,11 +527,6 @@ class ServeDaemon:
                          rec: Dict[str, Any]) -> None:
         """Settle one attempt from its worker ``result`` fields, as an
         agent delivered them or ``{"error": ...}`` for a lost lease."""
-        # Counted before any terminal-state checks: a result that raced
-        # a quarantine still ran its baseline lookups.
-        stats = rec.get("baseline_stats") or {}
-        self._c_bl_hits.inc(_count(stats, "hits"))
-        self._c_bl_misses.inc(_count(stats, "misses"))
         job = self._inflight.get(order.digest)
         if job is None or job.order is not order:
             return  # already terminal (e.g. quarantine raced a kill)
@@ -786,7 +774,7 @@ class ServeDaemon:
             name: inst.value
             for name, inst in (
                 (n, self.metrics.get(n)) for n in self.metrics.names())
-            if name.startswith(("serve.", "attr."))
+            if name.startswith("serve.")
             and hasattr(inst, "value")
         }
         return {

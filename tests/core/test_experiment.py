@@ -1,19 +1,25 @@
-"""Experiment methodology machinery."""
+"""Experiment methodology: positional seeds and the repetition loop."""
 
-from repro.core.experiment import rep_seed, run_repeated
+from repro.core.experiment import rep_seed
+from repro.runx.cells import run_cell
 
 
-def test_run_repeated_distinct_seeds():
-    seeds = []
-    values = run_repeated(lambda s: (seeds.append(s), float(s))[1], reps=4,
-                          base_seed=10)
+def test_rep_seeds_are_distinct_and_positional():
+    seeds = [rep_seed(10, r) for r in range(4)]
     assert len(set(seeds)) == 4
+    assert seeds[0] == 10
     assert seeds == [rep_seed(10, r) for r in range(4)]
-    assert values == [float(s) for s in seeds]
 
 
-def test_run_repeated_infeasible_short_circuits():
+def test_infeasible_nas_cell_short_circuits(monkeypatch):
+    """Infeasibility is configuration-determined, not seed-determined:
+    the first repetition that reports it ends the cell."""
+    import repro.apps.nas.study as study
+
     calls = []
-    values = run_repeated(lambda s: (calls.append(s), None)[1], reps=5)
-    assert values is None
-    assert len(calls) == 1
+    monkeypatch.setattr(study, "run_nas_config",
+                        lambda *a, seed, **kw: calls.append(seed))
+    params = {"bench": "EP", "cls": "A", "nodes": 2, "rpn": 1, "smm": 2,
+              "reps": 5}
+    assert run_cell("nas", params, 1) == {"values": None}
+    assert calls == [1]

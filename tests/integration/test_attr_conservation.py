@@ -7,9 +7,10 @@ Two properties gate the attribution engine:
    tolerance of the slowdown.  The decomposition is built along the
    terminal rank's exact timeline, so in practice the residual is ~0;
    the 5% tolerance is headroom, not slack being used.
-2. **Determinism** — the attribution block attached by ``--attr`` sweeps
-   must be byte-identical whether cells run in-process serially or in
-   parallel worker subprocesses (``--jobs 4``), like every other payload.
+2. **Determinism** — the attribution block an ``--attr`` sweep joins from
+   a noisy cell and its row's smm=0 cell must be byte-identical whether
+   the cells run in-process serially or in parallel worker subprocesses
+   (``--jobs 4``), like every other payload.
 """
 
 import json
@@ -18,7 +19,7 @@ import os
 import pytest
 
 from repro.obs.attr import attribute_cell
-from repro.runx import CellSpec, SweepRunner
+from repro.runx import CellResult, CellSpec, SweepRunner, join_attribution
 from repro.runx.cells import run_cell
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "explain_cell.json")
@@ -56,19 +57,33 @@ def test_direct_share_tracks_duty_cycle():
     assert c["induced_wait_s"] > 0.5 * r["slowdown_s"]
 
 
+#: The golden noisy cell and the smm=0 cell of its row, which the sweep
+#: joins it with.
+_SPECS = [
+    CellSpec(id=f"EP.A n=2 rpn=1 smm={smm}", fn=_GOLDEN["fn"],
+             base_seed=_GOLDEN["seed"],
+             params={**_GOLDEN["params"], "smm": smm})
+    for smm in (0, _GOLDEN["params"]["smm"])
+]
+
+
+def _joined(results):
+    return join_attribution(_SPECS, results)[0][_SPECS[1].id].value
+
+
 def test_golden_attribution_payload_is_byte_identical():
-    payload = run_cell(_GOLDEN["fn"], _GOLDEN["params"], _GOLDEN["seed"])
-    got = json.dumps(payload, sort_keys=True)
+    results = {s.id: CellResult(id=s.id, status="ok",
+                                value=run_cell(s.fn, s.params, s.base_seed))
+               for s in _SPECS}
+    got = json.dumps(_joined(results), sort_keys=True)
     want = json.dumps(_GOLDEN["payload"], sort_keys=True)
     assert got == want, "attribution payload drifted from golden"
 
 
 def test_attribution_identical_serial_vs_parallel():
-    spec = CellSpec(id="EP.A n=2 rpn=1 smm=2", fn=_GOLDEN["fn"],
-                    base_seed=_GOLDEN["seed"], params=_GOLDEN["params"])
-    serial = SweepRunner(jobs=1, isolation="inline").run([spec])
-    parallel = SweepRunner(jobs=4, isolation="process").run([spec])
-    v1 = serial[spec.id].value
-    v4 = parallel[spec.id].value
+    serial = SweepRunner(jobs=1, isolation="inline").run(_SPECS)
+    parallel = SweepRunner(jobs=4, isolation="process").run(_SPECS)
+    v1 = _joined(serial)
+    v4 = _joined(parallel)
     assert "attribution" in v1
     assert json.dumps(v1, sort_keys=True) == json.dumps(v4, sort_keys=True)

@@ -4,9 +4,9 @@ A small Table-2 (EP) sweep runs in-process, on the sweep runner's
 persistent worker processes with ``jobs=2``, and through a ``serve``
 daemon, once plain and once with ``attr`` (the attribution engine's
 ``--attr``).  The canonical projection ``{id, status, value, seed}`` of
-every cell must be byte-identical across all three, ``attribution``
-blocks included.  Each path memoizes zero-SMI baselines only inside its
-own processes, so which worker simulates a baseline moves no byte.
+every cell, after :func:`repro.runx.join_attribution` has joined each
+noisy cell with its row's smm=0 cell, must be byte-identical across all
+three, ``attribution`` blocks included.
 """
 
 import asyncio
@@ -15,7 +15,7 @@ import json
 import pytest
 
 from repro.harness.mpi_tables import table_cell_specs
-from repro.runx import CellSpec, SweepRunner
+from repro.runx import CellResult, CellSpec, SweepRunner, join_attribution
 from repro.serve import ServeClient
 from repro.serve.daemon import ServeDaemon
 from tests.serve.test_daemon import _call, _cfg, _submit_records
@@ -29,16 +29,18 @@ def _with_attr(specs):
                      params={**s.params, "attr": True}) for s in specs]
 
 
-def _project(rows) -> str:
+def _project(specs, results) -> str:
+    """The joined ``{id, status, value, seed}`` rows of ``results``."""
+    joined, unpaired = join_attribution(specs, results)
+    assert unpaired == []
+    rows = ({"id": r.id, "status": r.status, "value": r.value,
+             "seed": r.seed} for r in joined.values())
     return json.dumps(sorted(rows, key=lambda r: r["id"]), sort_keys=True)
 
 
 def _runner_projection(specs, **runner_kw) -> str:
     with SweepRunner(**runner_kw) as runner:
-        results = runner.run(specs)
-    return _project(
-        {"id": r.id, "status": r.status, "value": r.value, "seed": r.seed}
-        for r in results.values())
+        return _project(specs, runner.run(specs))
 
 
 def _served_projection(tmp_path, specs):
@@ -58,10 +60,10 @@ def _served_projection(tmp_path, specs):
     rep, counters = asyncio.run(scenario())
     seeds = {s.id: s.base_seed for s in specs}
     # The daemon runs every attempt on the spec's base_seed.
-    return _project(
-        {"id": c["id"], "status": c["status"], "value": c.get("value"),
-         "seed": seeds[c["id"]]}
-        for c in rep["cells"]), counters
+    return _project(specs, {
+        c["id"]: CellResult(id=c["id"], status=c["status"],
+                            value=c.get("value"), seed=seeds[c["id"]])
+        for c in rep["cells"]}), counters
 
 
 @pytest.mark.parametrize("attr", [False, True], ids=["plain", "attr"])
@@ -76,6 +78,4 @@ def test_inline_runner_and_served_sweeps_are_byte_identical(tmp_path, attr):
     assert _runner_projection(specs, isolation="process", jobs=2) == inline
     served, counters = _served_projection(tmp_path, specs)
     assert served == inline
-    # One baseline lookup per attributed cell, summed from the workers.
-    lookups = counters["attr.baseline.hits"] + counters["attr.baseline.misses"]
-    assert lookups == (4 if attr else 0)
+    assert counters["serve.jobs.completed"] == 4

@@ -44,9 +44,6 @@ ALLOWED = {
     # test_cpu_exec.py::test_integer_sum_rates_equal_list_sum_rates_bit_for_bit
     # and tests/faults/test_machine_faults.py::test_degrade_scales_cpu_rate
     "repro/machine/cpu.py:LogicalCpu.gross_hz",
-    # the autouse store-isolation fixture in tests/conftest.py and
-    # tests/obs/test_attr_baseline.py::test_reset_global_store_replaces_instance
-    "repro/obs/attr/baseline.py:reset_global_store",
     # finding 7, SMM time charged to the victim task: tests/integration/
     # test_paper_shapes.py::test_claim_smm_time_invisible_to_tools(_inflation_bands)
     # and tests/sched/test_accounting.py

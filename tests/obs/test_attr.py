@@ -1,11 +1,19 @@
 """Unit tests for the noise-attribution engine (repro.obs.attr)."""
 
+import json
+
 import pytest
 
 from repro.apps.nas.params import NasClass
 from repro.apps.nas.study import NasConfig, run_nas_config
 from repro.obs import MetricsRegistry
-from repro.obs.attr import AttrCapture, attribute_cell, build_profile, render_explain
+from repro.obs.attr import (
+    AttrCapture,
+    attribute_cell,
+    build_profile,
+    projection,
+    render_explain,
+)
 from repro.obs.attr.capture import SendRec, WaitRec
 from repro.obs.attr.profile import (
     COLLECTIVE,
@@ -117,3 +125,34 @@ def test_attribute_cell_report_and_rendering():
     assert "direct SMI theft" in text
     assert "conservation" in text and "OK" in text
     assert "critical path" in text
+
+
+# -- the zero-SMI projection --------------------------------------------------
+
+def _baseline_record(seed, interval):
+    cfg = NasConfig("EP", NasClass.A, nodes=2, ranks_per_node=1)
+    cap = AttrCapture()
+    elapsed = run_nas_config(cfg, smm=0, seed=seed,
+                             interval_jiffies=interval,
+                             timeline=Timeline(), attr=cap)
+    return elapsed, projection(build_profile(cap))
+
+
+def test_zero_smi_baseline_is_seed_and_interval_invariant():
+    """The invariant that lets one smm=0 cell serve every SMI class of
+    its row: with no SMIs the RNG is never drawn, so seed and interval
+    are inert — the run (and its whole projection) is bit-identical."""
+    e1, r1 = _baseline_record(seed=1, interval=1000)
+    e2, r2 = _baseline_record(seed=424243, interval=500)
+    assert e1 == e2
+    assert r1 == r2
+
+
+def test_projection_round_trip_is_exact():
+    """A projection crosses a worker pipe and a journal line as JSON;
+    every number must come back bit-exact, not approximately."""
+    _, proj = _baseline_record(seed=1, interval=1000)
+    proj["elapsed_app_s"] = 0.1 + 0.2  # 0.30000000000000004
+    assert json.loads(json.dumps(proj)) == proj
+    assert set(proj) == {"elapsed_app_s", "span_ns", "ranks"}
+    assert all(len(v) == 5 for v in proj["ranks"].values())

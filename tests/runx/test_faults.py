@@ -199,14 +199,15 @@ def test_with_faults_arms_only_rules_the_executor_would_fire():
 
 def test_faulted_nas_cell_carries_no_attribution():
     """``--attr`` and ``--fault-plan`` together: the faulted cell keeps its
-    fault events and gets no ``attribution`` block (a faulted run is not
-    comparable with the clean baseline it would be differenced against)."""
+    fault events and carries no ``attr_noisy`` record, so the sweep joins
+    no ``attribution`` block for it (a faulted run is not comparable with
+    the clean baseline it would be differenced against)."""
     from repro.runx.cells import run_cell
 
     params = {"bench": "EP", "cls": "A", "nodes": 2, "rpn": 1, "smm": 2,
               "reps": 1, "attr": True}
-    assert "attribution" in run_cell("nas", params, 5)
+    assert "attr_noisy" in run_cell("nas", params, 5)
     faulted = run_cell("nas", {**params, "faults": [
         {"fault": "cpu_degrade", "node": 0, "cpu": 0, "at_s": 0.05}]}, 5)
-    assert "attribution" not in faulted
+    assert "attr_noisy" not in faulted and "attribution" not in faulted
     assert faulted["fault_events"][0]["fault"] == "cpu_degrade"

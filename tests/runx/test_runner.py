@@ -19,7 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.runx import Journal, SweepRunner, load_resume
 from repro.runx.cells import REGISTRY, _cost, dispatch_order
 from repro.runx.spec import CellResult, CellSpec
-from repro.runx.supervisor import WorkerChild, worker_env
+from repro.runx.supervisor import worker_env
 
 REPO = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -298,29 +298,6 @@ def test_fully_resumed_sweep_spawns_no_worker():
         results = runner.run(SYN, completed=done)
         assert runner._children == set()
     assert all(r.resumed for r in results.values())
-
-
-def test_attr_baseline_stats_are_per_job():
-    """The baseline store outlives each job in a persistent worker; the
-    hit/miss tally on each result line is that job's delta only."""
-    params = {"bench": "EP", "cls": "A", "nodes": 1, "rpn": 1, "smm": 0,
-              "reps": 1, "attr": True}
-    spec = CellSpec(id="attr0", fn="nas", params=params, base_seed=5)
-    child = WorkerChild(worker_env())
-    try:
-        replies = []
-        for i in range(3):
-            child.submit({"kind": "job", "id": f"j{i}",
-                          "spec": spec.to_record(), "seed": 5})
-            replies.append(child.wait_result(f"j{i}", timeout_s=120))
-    finally:
-        child.close()
-    assert all(r["ok"] for r in replies)
-    assert not any("baselines" in r for r in replies)
-    assert replies[0]["baseline_stats"] == {"hits": 0, "misses": 1}
-    for r in replies[1:]:
-        assert r["baseline_stats"] == {"hits": 1, "misses": 0}
-    assert replies[0]["value"] == replies[1]["value"] == replies[2]["value"]
 
 
 def test_worker_module_boots_cleanly_without_serve():
